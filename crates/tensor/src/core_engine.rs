@@ -6,7 +6,6 @@ use pic_eoadc::{EoAdc, EoAdcConfig};
 use pic_psram::{PsramArray, PsramConfig};
 use pic_units::{Current, Energy, OpticalPower, Voltage};
 use rand::{RngCore, SeedableRng};
-use rayon::prelude::*;
 
 /// Architectural parameters of a [`TensorCore`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,7 +86,8 @@ impl TensorCoreConfig {
 ///
 /// Storage is flat: one contiguous `rows × cols` gain matrix plus two
 /// per-row columns, so the steady-state kernels stream over contiguous
-/// memory instead of chasing one heap box per row.
+/// memory instead of chasing one heap box per row. A rebuild overwrites
+/// these buffers in place.
 #[derive(Debug, Clone)]
 struct WeightCache {
     generation: u64,
@@ -97,8 +97,11 @@ struct WeightCache {
     gains: Vec<f64>,
     /// Per-row constant dark-current floor of the photodiodes, A.
     dark_amps: Vec<f64>,
-    /// Per-row normalisation reference, A.
+    /// Per-row normalisation reference, A. Independent of the weights,
+    /// so computed once at construction.
     full_scale_amps: Vec<f64>,
+    /// One row's `cols × weight_bits` ring drives, the rebuild's scratch.
+    drives: Vec<Voltage>,
 }
 
 impl WeightCache {
@@ -435,7 +438,7 @@ impl TensorCore {
     pub fn new(config: TensorCoreConfig) -> Self {
         config.validate();
         let weights = PsramArray::new(config.psram, config.rows, config.cols, config.weight_bits);
-        let rows = (0..config.rows)
+        let rows: Vec<TensorRow> = (0..config.rows)
             .map(|_| {
                 TensorRow::new(
                     config.cols / config.wavelengths_per_macro,
@@ -448,6 +451,17 @@ impl TensorCore {
             .collect();
         let adc = EoAdc::new(config.adc);
         let lut = DigitizeLut::build(&adc, &config.adc);
+        let cache = WeightCache {
+            generation: u64::MAX,
+            cols: config.cols,
+            gains: vec![0.0; config.rows * config.cols],
+            dark_amps: vec![0.0; config.rows],
+            full_scale_amps: rows
+                .iter()
+                .map(|row| row.full_scale_current().as_amps())
+                .collect(),
+            drives: Vec::with_capacity(config.cols * config.weight_bits as usize),
+        };
         let mut core = TensorCore {
             weights,
             rows,
@@ -455,57 +469,33 @@ impl TensorCore {
             lut,
             readout_gain: 1.0,
             config,
-            cache: WeightCache {
-                generation: u64::MAX,
-                cols: 0,
-                gains: Vec::new(),
-                dark_amps: Vec::new(),
-                full_scale_amps: Vec::new(),
-            },
+            cache,
             parallel: true,
         };
         core.rebuild_cache();
         core
     }
 
-    /// Collapses the stored weights into the flat per-row linear maps.
-    /// Called by every weight-mutating method so the cache never goes
-    /// stale. Drive voltages are precomputed here — once per tile write —
-    /// into one flat `cols × weight_bits` buffer per row, instead of a
-    /// fresh nest of `Vec<Vec<Voltage>>` per cached matvec.
+    /// Collapses the stored weights into the flat per-row linear maps,
+    /// serially and in place. Called by every weight-mutating method so
+    /// the cache never goes stale. Each row's drive voltages are gathered
+    /// into one flat `cols × weight_bits` scratch buffer and collapsed by
+    /// [`TensorRow::channel_gains_into`] straight into the row's gain
+    /// slice.
     fn rebuild_cache(&mut self) {
-        let cols = self.config.cols;
-        let bits = self.config.weight_bits as usize;
-        let weights = &self.weights;
-        let row_cache = |(r, row): (usize, &TensorRow)| {
-            let mut drives = Vec::with_capacity(cols * bits);
-            for c in 0..cols {
-                let word = weights.word(r, c);
-                drives.extend(word.cells().iter().map(|cell| cell.weight_drive()));
+        let cache = &mut self.cache;
+        for (r, row) in self.rows.iter().enumerate() {
+            cache.drives.clear();
+            for c in 0..cache.cols {
+                let cells = self.weights.word(r, c).cells();
+                cache
+                    .drives
+                    .extend(cells.iter().map(|cell| cell.weight_drive()));
             }
-            let mut gains = vec![0.0; cols];
-            let dark = row.channel_gains_into(&drives, &mut gains);
-            (gains, dark.as_amps(), row.full_scale_current().as_amps())
-        };
-        let indexed: Vec<(usize, &TensorRow)> = self.rows.iter().enumerate().collect();
-        let per_row: Vec<(Vec<f64>, f64, f64)> = if self.parallel {
-            indexed.into_par_iter().map(row_cache).collect()
-        } else {
-            indexed.into_iter().map(row_cache).collect()
-        };
-        let mut cache = WeightCache {
-            generation: self.weights.generation(),
-            cols,
-            gains: Vec::with_capacity(self.config.rows * cols),
-            dark_amps: Vec::with_capacity(self.config.rows),
-            full_scale_amps: Vec::with_capacity(self.config.rows),
-        };
-        for (gains, dark, full_scale) in per_row {
-            cache.gains.extend_from_slice(&gains);
-            cache.dark_amps.push(dark);
-            cache.full_scale_amps.push(full_scale);
+            let gains = &mut cache.gains[r * cache.cols..(r + 1) * cache.cols];
+            cache.dark_amps[r] = row.channel_gains_into(&cache.drives, gains).as_amps();
         }
-        self.cache = cache;
+        cache.generation = self.weights.generation();
     }
 
     /// The cache the read paths are about to use, checked for staleness.
@@ -560,12 +550,13 @@ impl TensorCore {
         self.parallel
     }
 
-    /// Enables or disables parallel evaluation of cache rebuilds and
-    /// batched products. Small batches always run serially (thread spawn
-    /// would cost more than the work); large ones are chunked over
+    /// Enables or disables parallel evaluation of batched products.
+    /// Small batches always run serially (thread spawn would cost more
+    /// than the work); large ones are chunked over
     /// `available_parallelism` threads. Results are bit-identical either
     /// way (same per-row arithmetic, deterministic per-row seeds in the
-    /// noisy path); this only trades threads for throughput.
+    /// noisy path); this only trades threads for throughput. Weight
+    /// writes and their cache rebuilds always run serially.
     pub fn set_parallel(&mut self, parallel: bool) {
         self.parallel = parallel;
     }
@@ -662,9 +653,12 @@ impl TensorCore {
         self.load_weight_codes(&codes);
     }
 
-    /// Writes weight codes through the full optical pSRAM write transient
-    /// at the 20 GHz update rate, returning the switching energy and flip
-    /// count — the paper's streaming-update story (contribution 2).
+    /// Writes weight codes at the 20 GHz update rate, returning the
+    /// switching energy and flip count — the paper's streaming-update
+    /// story (contribution 2). Every cell whose bit changes replays the
+    /// array's cached flip transient ([`pic_psram::WriteTransientCache`],
+    /// bit-identical to integrating the full optical write transient),
+    /// and the weight cache is rebuilt for the new codes.
     ///
     /// # Panics
     ///
@@ -1348,6 +1342,54 @@ mod tests {
         let per_flip = energy.as_picojoules() / flips as f64;
         assert!(per_flip > 0.3 && per_flip < 0.7, "per-flip {per_flip} pJ");
         assert_eq!(core.weights().read_matrix(), codes);
+    }
+
+    #[test]
+    fn paper_core_tile_switches_match_store_matrix_and_preset_loads() {
+        use rand::Rng;
+        let cfg = TensorCoreConfig::paper();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let tiles: Vec<Vec<Vec<u32>>> = (0..16)
+            .map(|_| {
+                (0..cfg.rows)
+                    .map(|_| (0..cfg.cols).map(|_| rng.gen_range(0..=7)).collect())
+                    .collect()
+            })
+            .collect();
+        let inputs: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..cfg.cols).map(|_| rng.gen_range(0.0..=1.0)).collect())
+            .collect();
+        let blank = TensorCore::new(cfg);
+        let mut core = blank.clone();
+        let mut array = PsramArray::new(cfg.psram, cfg.rows, cfg.cols, cfg.weight_bits);
+        let (mut total_flips, mut unchanged_writes) = (0, 0);
+        // Switching among 16 tiles revisits each one, and a repeated pick
+        // rewrites the resident tile with zero flips.
+        for step in 0..64 {
+            let codes = &tiles[rng.gen_range(0..tiles.len())];
+            let (energy, flips) = core.write_weights_transient(codes);
+            let (want_energy, want_flips) = array.store_matrix(codes);
+            assert_eq!(
+                (energy.as_joules().to_bits(), flips),
+                (want_energy.as_joules().to_bits(), want_flips),
+                "write {step}"
+            );
+            total_flips += flips;
+            unchanged_writes += usize::from(flips == 0);
+            let mut preset = blank.clone();
+            preset.load_weight_codes(codes);
+            for x in &inputs {
+                let got: Vec<u64> = core.matvec_analog(x).iter().map(|y| y.to_bits()).collect();
+                let want: Vec<u64> = preset
+                    .matvec_analog(x)
+                    .iter()
+                    .map(|y| y.to_bits())
+                    .collect();
+                assert_eq!(got, want, "write {step}, input {x:?}");
+            }
+        }
+        assert!(total_flips > 10_000, "the sequence must flip most cells");
+        assert!(unchanged_writes > 0, "the sequence must repeat a tile");
     }
 
     #[test]

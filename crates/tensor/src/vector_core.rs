@@ -32,8 +32,16 @@ pub struct VectorComputeCore {
     comb: FrequencyComb,
     weight_bits: u32,
     vdd: Voltage,
-    /// `rings[branch][channel]`, identical across branches.
-    rings: Vec<Vec<Mrr>>,
+    /// One multiplier ring per channel. Every branch bus carries an
+    /// identical bank, so one copy serves them all.
+    rings: Vec<Mrr>,
+    /// `rail_thru[i * width + ch]`: ring `i`'s thru transmission at
+    /// channel `ch`'s wavelength with its junction at 0 V (`[0]`) and at
+    /// VDD (`[1]`) — the only two drives a settled pSRAM cell produces.
+    rail_thru: Vec<[f64; 2]>,
+    /// `responsivity · per-line watts · branch fraction` per branch, MSB
+    /// first: the left-to-right prefix of every gain term.
+    branch_scale: Vec<f64>,
     pd: Photodiode,
     mode: ComputeMode,
 }
@@ -52,25 +60,39 @@ impl VectorComputeCore {
             "weight precision must be 1..=8 bits"
         );
         let grid = comb.wavelengths();
-        let rings: Vec<Vec<Mrr>> = (0..weight_bits)
-            .map(|_| {
-                grid.iter()
-                    .map(|&wl| {
-                        // Resonant (absorbing) at 0 V; VDD detunes it off
-                        // resonance so the channel passes (§II-B polarity).
-                        Mrr::compute_ring_design()
-                            .resonant_at(wl, Voltage::ZERO)
-                            .build()
-                    })
-                    .collect()
+        let rings: Vec<Mrr> = grid
+            .iter()
+            .map(|&wl| {
+                // Resonant (absorbing) at 0 V; VDD detunes it off
+                // resonance so the channel passes (§II-B polarity).
+                Mrr::compute_ring_design()
+                    .resonant_at(wl, Voltage::ZERO)
+                    .build()
             })
+            .collect();
+        let rail_thru = rings
+            .iter()
+            .flat_map(|ring| {
+                grid.iter().map(move |&wl| {
+                    [Voltage::ZERO, vdd]
+                        .map(|v| ring.thru_transmission(wl, OperatingPoint::new(v, 0.0)))
+                })
+            })
+            .collect();
+        let pd = Photodiode::gf45spclo();
+        let (fractions, _) = splitter::binary_ladder(weight_bits);
+        let branch_scale = fractions
+            .iter()
+            .map(|&frac| pd.responsivity() * comb.per_line_power().as_watts() * frac)
             .collect();
         VectorComputeCore {
             comb,
             weight_bits,
             vdd,
             rings,
-            pd: Photodiode::gf45spclo(),
+            rail_thru,
+            branch_scale,
+            pd,
             mode: ComputeMode::FullWdm,
         }
     }
@@ -155,7 +177,8 @@ impl VectorComputeCore {
             ComputeMode::FullWdm => {
                 for (b, &frac) in fractions.iter().enumerate() {
                     let branch_in = encoded.transmit(|_| frac);
-                    let stages: Vec<(&Mrr, OperatingPoint)> = self.rings[b]
+                    let stages: Vec<(&Mrr, OperatingPoint)> = self
+                        .rings
                         .iter()
                         .enumerate()
                         .map(|(i, r)| (r, OperatingPoint::new(drives[i][b], ambient_drift_k)))
@@ -166,7 +189,8 @@ impl VectorComputeCore {
             }
             ComputeMode::SingleChannelSuperposition => {
                 for (b, &frac) in fractions.iter().enumerate() {
-                    let stages: Vec<(&Mrr, OperatingPoint)> = self.rings[b]
+                    let stages: Vec<(&Mrr, OperatingPoint)> = self
+                        .rings
                         .iter()
                         .enumerate()
                         .map(|(i, r)| (r, OperatingPoint::new(drives[i][b], ambient_drift_k)))
@@ -201,8 +225,9 @@ impl VectorComputeCore {
     /// is linear in the input powers: the comb encodes `P0·x`, the
     /// splitter ladder and each ring's thru response scale channels
     /// multiplicatively, and the photodiode is affine (`R·P + I_dark`).
-    /// Computing the gains costs one full optical walk; reusing them
-    /// turns each evaluation into a dense dot product.
+    /// Computing the gains takes one product of ring responses per
+    /// (branch, channel); reusing them turns each evaluation into a
+    /// dense dot product.
     ///
     /// # Panics
     ///
@@ -227,39 +252,65 @@ impl VectorComputeCore {
     /// `drives` is one contiguous `width × weight_bits` slice (bit-major
     /// within each channel, MSB first — `drives[i*bits + b]` is channel
     /// `i`, bit `b`), and the gains land in the caller's `gains` slice
-    /// instead of a fresh allocation. Same arithmetic in the same order
-    /// as the nested API, so the two are bit-identical; this is the form
-    /// the tensor core's cache rebuild drives so a tile write performs
-    /// exactly one flat precompute per row.
+    /// instead of a fresh allocation. This is the form the tensor core's
+    /// cache rebuild drives on every tile write.
+    ///
+    /// Each channel's bus transmission is the product of every ring's
+    /// thru response, folded from 1.0 in ring order like
+    /// [`bus::channel_path_transmissions`], and each branch adds
+    /// `responsivity · watts · fraction · transmission` in branch order —
+    /// the nested API's arithmetic in the same order, so the two are
+    /// bit-identical. A drive bit-equal to a rail (0 V or VDD, all a
+    /// settled pSRAM cell ever drives) reads the ring's response from
+    /// the table built at construction; any other drive evaluates
+    /// [`Mrr::thru_transmission`].
     ///
     /// # Panics
     ///
     /// Panics if `drives` or `gains` have the wrong length.
     pub fn channel_gains_into(&self, drives: &[Voltage], gains: &mut [f64]) -> Current {
         let bits = self.weight_bits as usize;
-        assert_eq!(
-            drives.len(),
-            self.width() * bits,
-            "one drive per (weight, bit)"
-        );
-        assert_eq!(gains.len(), self.width(), "one gain slot per channel");
-        let grid = self.comb.wavelengths();
-        let (fractions, _) = splitter::binary_ladder(self.weight_bits);
-        let watts_per_input = self.comb.per_line_power().as_watts();
-        let responsivity = self.pd.responsivity();
+        let width = self.width();
+        assert_eq!(drives.len(), width * bits, "one drive per (weight, bit)");
+        assert_eq!(gains.len(), width, "one gain slot per channel");
         gains.fill(0.0);
-        for (b, &frac) in fractions.iter().enumerate() {
-            let stages: Vec<(&Mrr, OperatingPoint)> = self.rings[b]
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (r, OperatingPoint::new(drives[i * bits + b], 0.0)))
-                .collect();
-            let path = bus::channel_path_transmissions(&grid, &stages);
-            for (gain, t) in gains.iter_mut().zip(path) {
-                *gain += responsivity * watts_per_input * frac * t;
+        for (b, &scale) in self.branch_scale.iter().enumerate() {
+            for (ch, gain) in gains.iter_mut().enumerate() {
+                let mut t = 1.0;
+                for i in 0..width {
+                    t *= self.thru(i, ch, drives[i * bits + b]);
+                }
+                *gain += scale * t;
             }
         }
         self.pd.dark_current() * self.weight_bits as f64
+    }
+
+    /// Ring `i`'s thru transmission at channel `ch` under `drive`: the
+    /// tabulated value on a rail, the full ring model off it.
+    #[inline]
+    fn thru(&self, i: usize, ch: usize, drive: Voltage) -> f64 {
+        match self.rail(drive) {
+            Some(rail) => self.rail_thru[i * self.width() + ch][rail],
+            None => {
+                let wl = self.comb.wavelengths()[ch];
+                self.rings[i].thru_transmission(wl, OperatingPoint::new(drive, 0.0))
+            }
+        }
+    }
+
+    /// The tabulated rail `drive` is bit-equal to: `Some(0)` for 0 V,
+    /// `Some(1)` for VDD, `None` for any other voltage (−0 V included).
+    #[inline]
+    fn rail(&self, drive: Voltage) -> Option<usize> {
+        let volts = drive.as_volts().to_bits();
+        if volts == Voltage::ZERO.as_volts().to_bits() {
+            Some(0)
+        } else if volts == self.vdd.as_volts().to_bits() {
+            Some(1)
+        } else {
+            None
+        }
     }
 
     /// Convenience: drive voltages derived from integer weight codes.
@@ -451,6 +502,109 @@ mod tests {
             assert_eq!(gains, nested_gains, "codes {w:?}");
             assert_eq!(dark.as_amps(), nested_dark.as_amps());
         }
+    }
+
+    /// The gains as the optical walk computed them before the rail
+    /// table: every branch's rings built afresh, each channel's bus
+    /// transmission from [`bus::channel_path_transmissions`], then
+    /// `responsivity · watts · fraction · transmission` summed over the
+    /// branches.
+    fn walked_gains(c: &VectorComputeCore, drives: &[Voltage]) -> Vec<f64> {
+        let bits = c.weight_bits() as usize;
+        let grid = c.comb().wavelengths();
+        let (fractions, _) = splitter::binary_ladder(c.weight_bits());
+        let watts_per_input = c.comb().per_line_power().as_watts();
+        let responsivity = Photodiode::gf45spclo().responsivity();
+        let mut gains = vec![0.0; c.width()];
+        for (b, &frac) in fractions.iter().enumerate() {
+            let rings: Vec<Mrr> = grid
+                .iter()
+                .map(|&wl| {
+                    Mrr::compute_ring_design()
+                        .resonant_at(wl, Voltage::ZERO)
+                        .build()
+                })
+                .collect();
+            let stages: Vec<(&Mrr, OperatingPoint)> = rings
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r, OperatingPoint::new(drives[i * bits + b], 0.0)))
+                .collect();
+            let path = bus::channel_path_transmissions(&grid, &stages);
+            for (gain, t) in gains.iter_mut().zip(path) {
+                *gain += responsivity * watts_per_input * frac * t;
+            }
+        }
+        gains
+    }
+
+    fn assert_gains_match_walk(c: &VectorComputeCore, drives: &[Voltage]) {
+        let mut gains = vec![f64::NAN; c.width()];
+        let dark = c.channel_gains_into(drives, &mut gains);
+        let want = walked_gains(c, drives);
+        let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gains), bits(&want), "drives {drives:?}");
+        assert_eq!(
+            dark.as_amps().to_bits(),
+            (Photodiode::gf45spclo().dark_current() * 3.0)
+                .as_amps()
+                .to_bits()
+        );
+    }
+
+    #[test]
+    fn tabulated_gains_match_the_walk_on_every_rail_pattern() {
+        let c = core();
+        let vdd = Voltage::from_volts(1.0);
+        let drives_of = |pattern: u32| -> Vec<Voltage> {
+            (0..12)
+                .map(|k| {
+                    if pattern >> k & 1 == 1 {
+                        vdd
+                    } else {
+                        Voltage::ZERO
+                    }
+                })
+                .collect()
+        };
+        for pattern in 0..1u32 << 12 {
+            assert_gains_match_walk(&c, &drives_of(pattern));
+        }
+    }
+
+    #[test]
+    fn off_rail_drives_fall_back_to_the_ring_model() {
+        let c = core();
+        let vdd = Voltage::from_volts(1.0);
+        assert_eq!(c.rail(Voltage::ZERO), Some(0));
+        assert_eq!(c.rail(vdd), Some(1));
+        let off_rail = [
+            vdd * 0.5,
+            Voltage::from_volts(1e-12),
+            Voltage::from_volts(-0.0),
+        ];
+        for &v in &off_rail {
+            assert_eq!(c.rail(v), None, "{v:?} must not read the rail table");
+        }
+        // Each off-rail drive in every (weight, bit) slot of a mixed
+        // rail pattern, then every slot off-rail at once.
+        let base: Vec<Voltage> = (0..12)
+            .map(|k| if k % 3 == 1 { Voltage::ZERO } else { vdd })
+            .collect();
+        for &v in &off_rail {
+            for slot in 0..12 {
+                let mut drives = base.clone();
+                drives[slot] = v;
+                assert_gains_match_walk(&c, &drives);
+            }
+            assert_gains_match_walk(&c, &[v; 12]);
+        }
+        // Half-VDD leaves the ring between its states: a distinct gain.
+        let mut half = vec![f64::NAN; 4];
+        let mut rail = vec![f64::NAN; 4];
+        let _ = c.channel_gains_into(&[vdd * 0.5; 12], &mut half);
+        let _ = c.channel_gains_into(&[vdd; 12], &mut rail);
+        assert_ne!(half, rail);
     }
 
     #[test]
