@@ -1,9 +1,10 @@
 //! pSRAM bitcell co-simulation throughput: hold steps, full write
-//! transients, word/array operations.
+//! transients, word/array operations, the paper-tile array write.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pic_psram::{PsramBitcell, PsramConfig, PsramWord};
+use pic_psram::{PsramArray, PsramBitcell, PsramConfig, PsramWord};
 use pic_units::{OpticalPower, Seconds};
+use rand::{Rng, SeedableRng};
 
 fn bench_psram(c: &mut Criterion) {
     let config = PsramConfig::paper();
@@ -35,6 +36,22 @@ fn bench_psram(c: &mut Criterion) {
 
     c.bench_function("psram/word_preset_3bit", |b| {
         b.iter(|| PsramWord::preset(config, 3, black_box(5)))
+    });
+
+    // Seeded random paper tiles in turn, so every write flips about half
+    // the cells; rewriting one tile would replay no flips at all.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let tiles: Vec<Vec<Vec<u32>>> = (0..64)
+        .map(|_| {
+            (0..16)
+                .map(|_| (0..16).map(|_| rng.gen_range(0..8)).collect())
+                .collect()
+        })
+        .collect();
+    c.bench_function("psram/array_store_matrix_16x16", |b| {
+        let mut array = PsramArray::new(config, 16, 16, 3);
+        let mut next = tiles.iter().cycle();
+        b.iter(|| array.store_matrix(black_box(next.next().expect("cycle never ends"))))
     });
 
     c.bench_function("psram/snm_analysis", |b| {

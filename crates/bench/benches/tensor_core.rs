@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pic_tensor::{TensorCore, TensorCoreConfig};
+use rand::{Rng, SeedableRng};
 
 fn paper_core() -> TensorCore {
     let mut core = TensorCore::new(TensorCoreConfig::paper());
@@ -67,6 +68,23 @@ fn bench_tensor_core(c: &mut Criterion) {
             |mut core| core.load_weight_codes(black_box(&w)),
             BatchSize::LargeInput,
         )
+    });
+
+    // A streamed tile write: the array replays the flips, then the weight
+    // cache is rebuilt. Seeded random tiles in turn, so every write flips
+    // about half the cells; rewriting one tile would replay no flips.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let tiles: Vec<Vec<Vec<u32>>> = (0..64)
+        .map(|_| {
+            (0..16)
+                .map(|_| (0..16).map(|_| rng.gen_range(0..8)).collect())
+                .collect()
+        })
+        .collect();
+    c.bench_function("tensor/write_weights_transient_16x16", |b| {
+        let mut core = TensorCore::new(TensorCoreConfig::paper());
+        let mut next = tiles.iter().cycle();
+        b.iter(|| core.write_weights_transient(black_box(next.next().expect("cycle never ends"))))
     });
 }
 

@@ -1,7 +1,9 @@
 //! Multi-bit words and 2D arrays of pSRAM bitcells.
 
 use crate::{HoldPowerModel, PsramBitcell, PsramConfig, WriteEnergyModel, WriteTransientCache};
-use pic_units::{ElectricalPower, Energy, Voltage};
+use pic_circuit::EnergyMeter;
+use pic_units::{ElectricalPower, Energy, Seconds, Voltage};
+use std::sync::Arc;
 
 /// An n-bit weight word backed by n pSRAM bitcells, MSB first — the
 /// per-weight storage column of §II-B.
@@ -96,8 +98,8 @@ impl PsramWord {
     /// Like [`PsramWord::store`] but replays cached flip transients
     /// ([`PsramBitcell::write_cached`]) instead of re-integrating the
     /// write ODE per cell — bit-identical state and energy. Measured on
-    /// one core of an x86-64 Xeon VM, a replayed flip costs about 35 ns
-    /// and an integrated one about 60 µs: ≈ 1.7·10³× faster.
+    /// a two-vCPU x86-64 Xeon VM, a replayed flip costs 35–51 ns and an
+    /// integrated one 60–80 µs: ≈ 1.5·10³× faster.
     ///
     /// # Panics
     ///
@@ -141,19 +143,43 @@ impl PsramWord {
 
 /// A 2D array of n-bit pSRAM words: `rows × cols` weights, as tiled in the
 /// paper's 16×16 tensor core (768 bitcells at 3-bit precision, §IV-D).
+///
+/// # Layout
+///
+/// The array keeps no [`PsramBitcell`]s. A latched differential cell
+/// sits on its rails, so its bit alone fixes its node and driver
+/// voltages; what else it carries is accounting history. The array is
+/// therefore a struct of arrays: one code per word, and per cell its
+/// energy tallies (in [`WriteTransientCache`]'s component order) and its
+/// elapsed simulation time. Every array with the same [`PsramConfig`]
+/// shares one cache. A write visits only the bits that change, adding
+/// the cached flip's constants: the same sums, in the same order, as
+/// replaying each flip onto a standalone cell with
+/// [`PsramWord::store_cached`], so energies, tallies and times are
+/// bit-identical to it. [`PsramArray::cell`] rebuilds any cell as a
+/// [`PsramBitcell`] snapshot.
 #[derive(Debug, Clone)]
 pub struct PsramArray {
     config: PsramConfig,
     bits: u32,
     rows: usize,
     cols: usize,
-    words: Vec<PsramWord>,
-    /// Bumped on every mutable access path; lets read-side caches (e.g.
-    /// the tensor core's weight cache) detect staleness cheaply.
+    /// Row-major stored code of each word.
+    codes: Vec<u32>,
+    /// Energy tallies of each cell (word-major, then bit MSB first),
+    /// `components` per cell in the flip cache's component order. A
+    /// cell that never flipped holds zeros and reports an empty meter.
+    tallies: Vec<Energy>,
+    /// Tallies per cell: the number of components a flip meters.
+    components: usize,
+    /// Simulation time elapsed in each cell, in `tallies`' cell order.
+    elapsed: Vec<Seconds>,
+    /// Bumped by every accepted write; lets read-side caches (e.g. the
+    /// tensor core's weight cache) detect staleness cheaply.
     generation: u64,
     /// Replayable write transients shared by every array with this
     /// config — what keeps bulk matrix streaming off the per-cell ODE.
-    flip_cache: std::sync::Arc<WriteTransientCache>,
+    flip_cache: Arc<WriteTransientCache>,
 }
 
 impl PsramArray {
@@ -161,21 +187,27 @@ impl PsramArray {
     ///
     /// # Panics
     ///
-    /// Panics if `rows`/`cols` are zero or word construction panics.
+    /// Panics if `rows`/`cols` are zero, `bits` is zero or above 16, or
+    /// the config is invalid.
     #[must_use]
     pub fn new(config: PsramConfig, rows: usize, cols: usize, bits: u32) -> Self {
         assert!(rows > 0 && cols > 0, "array must be non-empty");
-        let words = (0..rows * cols)
-            .map(|_| PsramWord::new(config, bits))
-            .collect();
+        assert!((1..=16).contains(&bits), "word width must be 1..=16 bits");
+        config.validate();
+        let flip_cache = WriteTransientCache::shared(config);
+        let components = flip_cache.components().count();
+        let cells = rows * cols * bits as usize;
         PsramArray {
             config,
             bits,
             rows,
             cols,
-            words,
+            codes: vec![0; rows * cols],
+            tallies: vec![Energy::ZERO; cells * components],
+            components,
+            elapsed: vec![Seconds::ZERO; cells],
             generation: 0,
-            flip_cache: WriteTransientCache::shared(config),
+            flip_cache,
         }
     }
 
@@ -186,11 +218,11 @@ impl PsramArray {
         &self.flip_cache
     }
 
-    /// Monotone write-generation counter: incremented whenever the array
-    /// is reached through any mutable path ([`PsramArray::word_mut`],
-    /// the `store_matrix` family, [`PsramArray::preset_matrix`]). Two
-    /// equal readings guarantee the stored weights have not changed in
-    /// between.
+    /// Monotone write-generation counter: incremented by every accepted
+    /// write ([`PsramArray::store_matrix`],
+    /// [`PsramArray::store_matrix_row_parallel`],
+    /// [`PsramArray::preset_matrix`]). Two equal readings guarantee the
+    /// stored weights have not changed in between.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -220,27 +252,93 @@ impl PsramArray {
         self.rows * self.cols * self.bits as usize
     }
 
-    /// The word at `(row, col)`.
+    /// Row-major index of the word at `(row, col)`.
+    fn word_index(&self, row: usize, col: usize) -> usize {
+        assert!(row < self.rows && col < self.cols, "index out of range");
+        row * self.cols + col
+    }
+
+    /// The code stored at `(row, col)`.
     ///
     /// # Panics
     ///
     /// Panics if the indices are out of range.
     #[must_use]
-    pub fn word(&self, row: usize, col: usize) -> &PsramWord {
-        assert!(row < self.rows && col < self.cols, "index out of range");
-        &self.words[row * self.cols + col]
+    pub fn value(&self, row: usize, col: usize) -> u32 {
+        self.codes[self.word_index(row, col)]
     }
 
-    /// Mutable word access.
+    /// The codes stored in `row`, one per column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    #[must_use]
+    pub fn row_codes(&self, row: usize) -> &[u32] {
+        let start = self.word_index(row, 0);
+        &self.codes[start..start + self.cols]
+    }
+
+    /// The ring-drive voltages of the word at `(row, col)`, MSB first —
+    /// what the multiplier rings of a compute column see. A latched
+    /// cell's driver holds its ring at exactly VDD for a 1 and 0 V for a
+    /// 0 (see [`PsramWord::weight_drives`]).
     ///
     /// # Panics
     ///
     /// Panics if the indices are out of range.
-    pub fn word_mut(&mut self, row: usize, col: usize) -> &mut PsramWord {
-        assert!(row < self.rows && col < self.cols, "index out of range");
-        // Handing out `&mut` counts as a (potential) write.
-        self.generation += 1;
-        &mut self.words[row * self.cols + col]
+    pub fn weight_drives(&self, row: usize, col: usize) -> impl Iterator<Item = Voltage> + '_ {
+        let code = self.value(row, col);
+        (0..self.bits).rev().map(move |shift| {
+            if code >> shift & 1 == 1 {
+                self.config.vdd
+            } else {
+                Voltage::ZERO
+            }
+        })
+    }
+
+    /// A snapshot of bit `bit` (0 = MSB) of the word at `(row, col)` as a
+    /// standalone [`PsramBitcell`]: its stored state, energy meter and
+    /// elapsed time, equal to those of a cell that saw the same writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    #[must_use]
+    pub fn cell(&self, row: usize, col: usize, bit: u32) -> PsramBitcell {
+        assert!(bit < self.bits, "index out of range");
+        let word = self.word_index(row, col);
+        let cell = word * self.bits as usize + bit as usize;
+        let mut meter = EnergyMeter::new();
+        // Every flip advances a cell's clock, so a zero clock marks a
+        // cell that never flipped, whose meter is empty.
+        if self.elapsed[cell] != Seconds::ZERO {
+            let tallies = &self.tallies[cell * self.components..(cell + 1) * self.components];
+            for (name, &energy) in self.flip_cache.components().zip(tallies) {
+                meter.record(name, energy);
+            }
+        }
+        let stored = self.codes[word] >> (self.bits - 1 - bit) & 1 == 1;
+        PsramBitcell::latched(self.config, stored, meter, self.elapsed[cell])
+    }
+
+    /// Checks a row-major matrix against the array's shape and word width
+    /// before any of it is written, so a rejected matrix leaves the array
+    /// untouched. Checks run in write order: row count, then each row's
+    /// length and codes.
+    fn check_matrix(&self, matrix: &[Vec<u32>]) {
+        assert_eq!(matrix.len(), self.rows, "row count mismatch");
+        for (r, row) in matrix.iter().enumerate() {
+            assert_eq!(row.len(), self.cols, "column count mismatch in row {r}");
+            for &value in row {
+                assert!(
+                    value < (1u32 << self.bits),
+                    "value {value} does not fit in {} bits",
+                    self.bits
+                );
+            }
+        }
     }
 
     /// Writes an entire weight matrix with *row-parallel* timing: all
@@ -249,26 +347,50 @@ impl PsramArray {
     /// switching energy, flip count, and the wall-clock write time —
     /// `rows-with-changes × update period`.
     ///
+    /// Each bit that changes replays the cached flip transient, walked
+    /// MSB first within each word and word by word in row-major order:
+    /// the energy sums exactly as per-word [`PsramWord::store_cached`]
+    /// calls would.
+    ///
     /// # Panics
     ///
-    /// Panics like [`PsramArray::store_matrix`].
-    pub fn store_matrix_row_parallel(
-        &mut self,
-        matrix: &[Vec<u32>],
-    ) -> (Energy, usize, pic_units::Seconds) {
-        assert_eq!(matrix.len(), self.rows, "row count mismatch");
-        let cache = std::sync::Arc::clone(&self.flip_cache);
+    /// Panics like [`PsramArray::store_matrix`], before writing anything.
+    pub fn store_matrix_row_parallel(&mut self, matrix: &[Vec<u32>]) -> (Energy, usize, Seconds) {
+        self.check_matrix(matrix);
+        self.generation += 1;
+        let cache = &*self.flip_cache;
+        let flips_to = [cache.flip(false), cache.flip(true)];
+        let bits = self.bits as usize;
+        let k = self.components;
         let mut energy = Energy::ZERO;
         let mut flips = 0;
         let mut busy_rows = 0;
         for (r, row) in matrix.iter().enumerate() {
-            assert_eq!(row.len(), self.cols, "column count mismatch in row {r}");
             let mut row_flipped = false;
-            for (c, &v) in row.iter().enumerate() {
-                let (e, f) = self.word_mut(r, c).store_cached(v, &cache);
-                energy += e;
-                flips += f;
-                row_flipped |= f > 0;
+            for (c, &value) in row.iter().enumerate() {
+                let word = r * self.cols + c;
+                let mut changed = value ^ self.codes[word];
+                if changed == 0 {
+                    continue;
+                }
+                self.codes[word] = value;
+                row_flipped = true;
+                let mut word_energy = Energy::ZERO;
+                while changed != 0 {
+                    // The most significant changed bit first.
+                    let shift = u32::BITS - 1 - changed.leading_zeros();
+                    changed ^= 1 << shift;
+                    let flip = flips_to[(value >> shift & 1) as usize];
+                    let cell = (word + 1) * bits - 1 - shift as usize;
+                    let tallies = &mut self.tallies[cell * k..(cell + 1) * k];
+                    for (tally, &delta) in tallies.iter_mut().zip(flip.tallies()) {
+                        *tally += delta;
+                    }
+                    self.elapsed[cell] += flip.elapsed();
+                    word_energy += flip.report_energy();
+                    flips += 1;
+                }
+                energy += word_energy;
             }
             busy_rows += usize::from(row_flipped);
         }
@@ -276,7 +398,7 @@ impl PsramArray {
         (
             energy,
             flips,
-            pic_units::Seconds::from_seconds(busy_rows as f64 * slot),
+            Seconds::from_seconds(busy_rows as f64 * slot),
         )
     }
 
@@ -287,42 +409,36 @@ impl PsramArray {
     /// # Panics
     ///
     /// Panics if `matrix` dimensions do not match the array, or any value
-    /// does not fit the word width.
+    /// does not fit the word width; the array is then left untouched.
     pub fn store_matrix(&mut self, matrix: &[Vec<u32>]) -> (Energy, usize) {
         let (energy, flips, _) = self.store_matrix_row_parallel(matrix);
         (energy, flips)
     }
 
     /// Presets the whole array from a row-major matrix without running
-    /// write transients (see [`PsramWord::preset`]).
+    /// write transients (see [`PsramWord::preset`]): every cell starts
+    /// afresh, with an empty meter and a zero clock.
     ///
     /// # Panics
     ///
-    /// Panics if dimensions mismatch or any value does not fit.
+    /// Panics if dimensions mismatch or any value does not fit, before
+    /// writing anything.
     pub fn preset_matrix(&mut self, matrix: &[Vec<u32>]) {
-        assert_eq!(matrix.len(), self.rows, "row count mismatch");
+        self.check_matrix(matrix);
         self.generation += 1;
-        for (r, row) in matrix.iter().enumerate() {
-            assert_eq!(row.len(), self.cols, "column count mismatch in row {r}");
-            for (c, &v) in row.iter().enumerate() {
-                self.words[r * self.cols + c] = PsramWord::preset(self.config, self.bits, v);
-            }
+        for (stored, row) in self.codes.chunks_exact_mut(self.cols).zip(matrix) {
+            stored.copy_from_slice(row);
         }
+        self.tallies.fill(Energy::ZERO);
+        self.elapsed.fill(Seconds::ZERO);
     }
 
     /// Reads the whole array back as a row-major matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any word is mid-transition.
     #[must_use]
     pub fn read_matrix(&self) -> Vec<Vec<u32>> {
-        (0..self.rows)
-            .map(|r| {
-                (0..self.cols)
-                    .map(|c| self.word(r, c).value().expect("settled word"))
-                    .collect()
-            })
+        self.codes
+            .chunks_exact(self.cols)
+            .map(<[u32]>::to_vec)
             .collect()
     }
 
@@ -434,7 +550,10 @@ mod tests {
     fn generation_tracks_every_mutable_path() {
         let mut arr = PsramArray::new(cfg(), 2, 2, 3);
         let g0 = arr.generation();
-        let _ = arr.word(0, 0);
+        let _ = arr.value(0, 0);
+        let _ = arr.row_codes(1);
+        let _ = arr.weight_drives(0, 1).count();
+        let _ = arr.cell(1, 0, 2);
         let _ = arr.read_matrix();
         assert_eq!(arr.generation(), g0, "reads must not bump the counter");
         let m = vec![vec![1, 2], vec![3, 4]];
@@ -445,17 +564,21 @@ mod tests {
         let g2 = arr.generation();
         assert!(g2 > g1, "store_matrix must bump");
         let _ = arr.store_matrix_row_parallel(&m);
-        let g3 = arr.generation();
-        assert!(g3 > g2, "store_matrix_row_parallel must bump");
-        arr.word_mut(1, 1).store(6);
-        assert!(arr.generation() > g3, "word_mut must bump");
+        assert!(arr.generation() > g2, "store_matrix_row_parallel must bump");
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn array_bounds_checked() {
         let arr = PsramArray::new(cfg(), 2, 2, 3);
-        let _ = arr.word(2, 0);
+        let _ = arr.value(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn cell_bit_bounds_checked() {
+        let arr = PsramArray::new(cfg(), 2, 2, 3);
+        let _ = arr.cell(0, 0, 3);
     }
 
     /// The serving path replays cached flip transients; this pins it
@@ -521,11 +644,119 @@ mod tests {
             for (r, row) in m.iter().enumerate() {
                 for c in 0..row.len() {
                     assert_eq!(
-                        arr.word(r, c).weight_drives(),
+                        arr.weight_drives(r, c).collect::<Vec<_>>(),
                         reference[r * 2 + c].weight_drives()
                     );
                 }
             }
         }
+    }
+
+    /// Everything a test can observe of a cell, as bits: stored bit, Q,
+    /// QB, weight drive, elapsed time, and the meter's components.
+    fn cell_state(cell: &PsramBitcell) -> (Option<bool>, [u64; 4], Vec<(String, u64)>) {
+        let volts = |v: Voltage| v.as_volts().to_bits();
+        (
+            cell.stored_bit(),
+            [
+                volts(cell.q_voltage()),
+                volts(cell.qb_voltage()),
+                volts(cell.weight_drive()),
+                cell.elapsed().as_seconds().to_bits(),
+            ],
+            cell.energy_meter()
+                .iter()
+                .map(|(name, energy)| (name.to_owned(), energy.as_joules().to_bits()))
+                .collect(),
+        )
+    }
+
+    /// The paper's 16×16×3 array against one standalone word per weight
+    /// replaying the same flips with `store_cached` (pinned to the full
+    /// ODE above): every write's energy, flip count and write time, and
+    /// every cell's state, meter and clock, over seeded tiles with a
+    /// repeated tile and a preset mid-sequence.
+    #[test]
+    fn paper_array_matches_per_word_cached_writes() {
+        use rand::{Rng, SeedableRng};
+        let (rows, cols, bits) = (16, 16, 3);
+        let cache = WriteTransientCache::shared(cfg());
+        let slot = cfg().update_rate.period().as_seconds();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let mut tile = || -> Vec<Vec<u32>> {
+            (0..rows)
+                .map(|_| (0..cols).map(|_| rng.gen_range(0..8)).collect())
+                .collect()
+        };
+        // (preset instead of store, tile)
+        let repeated = tile();
+        let mut steps = vec![
+            (false, tile()),
+            (false, repeated.clone()),
+            (false, repeated),
+        ];
+        steps.extend((0..3).map(|_| (false, tile())));
+        steps.push((true, tile()));
+        steps.extend((0..4).map(|_| (false, tile())));
+
+        let mut arr = PsramArray::new(cfg(), rows, cols, bits);
+        let mut reference: Vec<PsramWord> = (0..rows * cols)
+            .map(|_| PsramWord::new(cfg(), bits))
+            .collect();
+        let (mut unchanged_writes, mut unflipped_after_preset, mut preset_done) = (0, 0, false);
+        for (step, (preset, m)) in steps.iter().enumerate() {
+            if *preset {
+                arr.preset_matrix(m);
+                for (word, &v) in reference.iter_mut().zip(m.iter().flatten()) {
+                    *word = PsramWord::preset(cfg(), bits, v);
+                }
+                preset_done = true;
+            } else {
+                let (energy, flips, time) = arr.store_matrix_row_parallel(m);
+                let (mut want_energy, mut want_flips, mut busy_rows) = (Energy::ZERO, 0, 0);
+                for (words, row) in reference.chunks_mut(cols).zip(m) {
+                    let mut row_flipped = false;
+                    for (word, &v) in words.iter_mut().zip(row) {
+                        let (e, f) = word.store_cached(v, &cache);
+                        want_energy += e;
+                        want_flips += f;
+                        row_flipped |= f > 0;
+                    }
+                    busy_rows += usize::from(row_flipped);
+                }
+                assert_eq!(
+                    (
+                        energy.as_joules().to_bits(),
+                        flips,
+                        time.as_seconds().to_bits()
+                    ),
+                    (
+                        want_energy.as_joules().to_bits(),
+                        want_flips,
+                        (busy_rows as f64 * slot).to_bits()
+                    ),
+                    "write {step}"
+                );
+                unchanged_writes += usize::from(flips == 0);
+            }
+            for (w, word) in reference.iter().enumerate() {
+                for (bit, want) in word.cells().iter().enumerate() {
+                    let got = arr.cell(w / cols, w % cols, bit as u32);
+                    assert_eq!(
+                        cell_state(&got),
+                        cell_state(want),
+                        "step {step}, word {w}, bit {bit}"
+                    );
+                    if preset_done && !preset && want.energy_meter().component_count() == 0 {
+                        unflipped_after_preset += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(unchanged_writes, 1, "the repeated tile must flip nothing");
+        assert!(
+            unflipped_after_preset > 0,
+            "some cells must stay unflipped after the preset"
+        );
     }
 }

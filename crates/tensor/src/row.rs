@@ -133,6 +133,27 @@ impl TensorRow {
         dark
     }
 
+    /// [`TensorRow::channel_gains_into`] for the rail drives of the
+    /// row's stored weight codes, one per column: see
+    /// [`VectorComputeCore::code_gains_into`]. Bit-identical to passing
+    /// the codes' rail drives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` or `gains` have the wrong length, or a code does
+    /// not fit the weight precision.
+    pub fn code_gains_into(&self, codes: &[u32], gains: &mut [f64]) -> Current {
+        assert_eq!(codes.len(), self.width(), "one code per weight");
+        assert_eq!(gains.len(), self.width(), "one gain slot per column");
+        let mut dark = Current::ZERO;
+        for (k, m) in self.macros.iter().enumerate() {
+            let lo = k * self.chunk;
+            let hi = lo + self.chunk;
+            dark += m.code_gains_into(&codes[lo..hi], &mut gains[lo..hi]);
+        }
+        dark
+    }
+
     /// Full-scale current of the row (all macros at full scale).
     #[must_use]
     pub fn full_scale_current(&self) -> Current {
@@ -237,6 +258,10 @@ mod tests {
         let dark = r.channel_gains_into(&flat, &mut gains);
         assert_eq!(gains, nested_gains);
         assert_eq!(dark.as_amps(), nested_dark.as_amps());
+        let mut code_gains = vec![f64::NAN; r.width()];
+        let code_dark = r.code_gains_into(&codes, &mut code_gains);
+        assert_eq!(code_gains, nested_gains);
+        assert_eq!(code_dark.as_amps(), nested_dark.as_amps());
     }
 
     #[test]

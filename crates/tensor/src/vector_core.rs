@@ -252,8 +252,9 @@ impl VectorComputeCore {
     /// `drives` is one contiguous `width × weight_bits` slice (bit-major
     /// within each channel, MSB first — `drives[i*bits + b]` is channel
     /// `i`, bit `b`), and the gains land in the caller's `gains` slice
-    /// instead of a fresh allocation. This is the form the tensor core's
-    /// cache rebuild drives on every tile write.
+    /// instead of a fresh allocation. It takes any drive, rail or not,
+    /// and is the reference [`VectorComputeCore::code_gains_into`] is
+    /// tested against.
     ///
     /// Each channel's bus transmission is the product of every ring's
     /// thru response, folded from 1.0 in ring order like
@@ -279,6 +280,43 @@ impl VectorComputeCore {
                 let mut t = 1.0;
                 for i in 0..width {
                     t *= self.thru(i, ch, drives[i * bits + b]);
+                }
+                *gain += scale * t;
+            }
+        }
+        self.pd.dark_current() * self.weight_bits as f64
+    }
+
+    /// [`VectorComputeCore::channel_gains_into`] for the rail drives of
+    /// stored weight codes, one per channel: bit `b` (MSB first) of
+    /// `codes[i]` picks ring `i`'s tabulated response at VDD (1) or 0 V
+    /// (0). The same products in the same order, so the gains are
+    /// bit-identical to passing the codes' rail drives, without building
+    /// them or testing each against the rails. This is the form the
+    /// tensor core's cache rebuild drives on every tile write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` or `gains` have the wrong length, or a code does
+    /// not fit the weight precision.
+    pub fn code_gains_into(&self, codes: &[u32], gains: &mut [f64]) -> Current {
+        let bits = self.weight_bits as usize;
+        let width = self.width();
+        assert_eq!(codes.len(), width, "one code per weight");
+        assert_eq!(gains.len(), width, "one gain slot per channel");
+        for &code in codes {
+            assert!(
+                code < (1u32 << bits),
+                "code {code} does not fit in {bits} bits"
+            );
+        }
+        gains.fill(0.0);
+        for (b, &scale) in self.branch_scale.iter().enumerate() {
+            let shift = bits - 1 - b;
+            for (ch, gain) in gains.iter_mut().enumerate() {
+                let mut t = 1.0;
+                for (ring, &code) in self.rail_thru.chunks_exact(width).zip(codes) {
+                    t *= ring[ch][(code >> shift & 1) as usize];
                 }
                 *gain += scale * t;
             }
@@ -567,8 +605,29 @@ mod tests {
                 })
                 .collect()
         };
+        // The same pattern as codes: slot `i * 3 + b` is bit `b`, MSB
+        // first, of code `i`.
+        let codes_of = |pattern: u32| -> Vec<u32> {
+            (0..4)
+                .map(|i| (0..3).fold(0, |code, b| code << 1 | pattern >> (i * 3 + b) & 1))
+                .collect()
+        };
+        let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
         for pattern in 0..1u32 << 12 {
-            assert_gains_match_walk(&c, &drives_of(pattern));
+            let drives = drives_of(pattern);
+            assert_gains_match_walk(&c, &drives);
+            let codes = codes_of(pattern);
+            assert_eq!(
+                c.drives_for_codes(&codes).concat(),
+                drives,
+                "pattern {pattern:#014b}"
+            );
+            let mut want = vec![f64::NAN; 4];
+            let want_dark = c.channel_gains_into(&drives, &mut want);
+            let mut gains = vec![f64::NAN; 4];
+            let dark = c.code_gains_into(&codes, &mut gains);
+            assert_eq!(bits(&gains), bits(&want), "codes {codes:?}");
+            assert_eq!(dark.as_amps().to_bits(), want_dark.as_amps().to_bits());
         }
     }
 
@@ -612,6 +671,12 @@ mod tests {
     fn channel_gains_check_drive_shape() {
         let c = core();
         let _ = c.channel_gains(&vec![vec![Voltage::ZERO; 2]; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn code_gains_check_code_width() {
+        let _ = core().code_gains_into(&[0, 8, 0, 0], &mut [0.0; 4]);
     }
 
     #[test]
