@@ -235,16 +235,14 @@ struct ClientReport {
 /// in-process run (nested, so `--check` gates the same numbers) plus
 /// per-client fairness stats from the networked closed loop and the
 /// open-loop front-end headline. Pre-reactor baselines lack the
-/// engine/open-loop fields and fail `--check` parsing loudly — they
-/// measured a different front-end and must be regenerated, not
-/// silently compared.
+/// open-loop fields and fail `--check` parsing loudly — they measured
+/// a different front-end and must be regenerated, not silently
+/// compared.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct NetBenchReport {
     id: String,
     title: String,
     smoke: bool,
-    /// Transport engine measured: `"reactor"` (default) or `"threaded"`.
-    engine: String,
     clients: usize,
     fairness_budget: usize,
     /// Open-loop phase sizing: pipelining connections × requests each.
@@ -311,18 +309,16 @@ struct TraceReport {
     policies: Vec<PolicyTrace>,
 }
 
-/// The `--serve --trace` report: slow-request exemplars the front-end
-/// captured into the flight recorder (`a` = matrix id, `b` =
-/// end-to-end latency in nanoseconds), plus the full recorder window
-/// they sit in so an exemplar correlates with the batching, stall, and
-/// overload events around it.
+/// The `--serve --trace` report: the flight-recorder window of the
+/// run (batching, stall, and overload events) beside the slowest
+/// request trace the front-end kept — head-sampled, or over the
+/// slow-request threshold.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct NetTraceReport {
     id: String,
     title: String,
     obs_enabled: bool,
     slow_threshold_ms: f64,
-    exemplars: Vec<EventTrace>,
     window: Vec<EventTrace>,
     /// Request-scoped traces stored by the front-end's sampler over
     /// the closed-loop phase.
@@ -1237,14 +1233,13 @@ fn net_main(args: &[String]) {
     let zipf_s: f64 = arg_value(args, "--zipf").unwrap_or(1.1);
     let clients_n: usize = arg_value(args, "--clients").unwrap_or(8);
     let budget: usize = arg_value(args, "--budget").unwrap_or(64);
-    let threaded = args.iter().any(|a| a == "--threaded");
     let reactors: usize = arg_value(args, "--reactors").unwrap_or(0);
     let open_conns: usize =
         arg_value(args, "--open-conns").unwrap_or(if smoke { 128 } else { 512 });
     let open_per_conn: usize = arg_value(args, "--open-per-conn").unwrap_or(16);
     let trace: Option<PathBuf> = arg_value::<String>(args, "--trace").map(PathBuf::from);
-    // Exemplar capture: with `--trace`, any served request slower than
-    // this end-to-end records a flight-recorder exemplar.
+    // With `--trace`, every request slower than this end to end keeps
+    // its trace even when not head-sampled.
     let slow_ms: f64 = arg_value(args, "--slow-ms").unwrap_or(2.0);
     let check: Option<String> = arg_value(args, "--check");
     let tolerance: f64 = arg_value(args, "--tolerance").unwrap_or(0.30);
@@ -1268,18 +1263,16 @@ fn net_main(args: &[String]) {
     if let Some(ms) = arg_value::<u64>(args, "--max-delay-ms") {
         config.max_delay = Duration::from_millis(ms);
     }
-    let engine = if threaded { "threaded" } else { "reactor" };
     println!(
         "BENCH_net — {requests} requests over {models_n} Zipf(s={zipf_s}) models through the \
-         network front-end ({engine} engine), {clients_n} loopback clients (fairness budget \
-         {budget}), {} devices (batch ≤ {}), policy {}",
+         network front-end, {clients_n} loopback clients (fairness budget {budget}), {} devices \
+         (batch ≤ {}), policy {}",
         config.devices,
         config.max_batch,
         config.policy.label(),
     );
     // The open-loop phase holds `open_conns` extra sockets plus the
     // server-side halves — all in this one process.
-    #[cfg(target_os = "linux")]
     let _ = pic_net::raise_nofile_limit((4 * open_conns + 512) as u64);
 
     let mut rng = StdRng::seed_from_u64(42);
@@ -1305,7 +1298,6 @@ fn net_main(args: &[String]) {
             // timeout would reclaim that live connection. These runs
             // measure multiplexing, not stall reclamation.
             read_timeout: Duration::from_secs(2),
-            threaded,
             reactors,
             slow_request: trace
                 .is_some()
@@ -1617,7 +1609,6 @@ fn net_main(args: &[String]) {
                 },
                 max_connections: open_conns + 16,
                 read_timeout: Duration::from_secs(2),
-                threaded,
                 reactors,
                 ..NetConfig::default()
             },
@@ -1735,7 +1726,6 @@ fn net_main(args: &[String]) {
         id: "bench_net".to_owned(),
         title: "Networked closed-loop serving through the pic-net front-end".to_owned(),
         smoke,
-        engine: engine.to_owned(),
         clients: clients_n,
         fairness_budget: budget,
         open_conns,
@@ -1796,23 +1786,7 @@ fn net_main(args: &[String]) {
                 b: e.b,
             })
             .collect();
-        let exemplars: Vec<EventTrace> = window
-            .iter()
-            .filter(|e| e.kind == "slow_request")
-            .map(|e| EventTrace {
-                seq: e.seq,
-                t_ns: e.t_ns,
-                kind: e.kind.clone(),
-                a: e.a,
-                b: e.b,
-            })
-            .collect();
-        println!(
-            "  [trace] {} slow-request exemplars (> {slow_ms} ms end-to-end) in a \
-             {}-event recorder window",
-            exemplars.len(),
-            window.len(),
-        );
+        println!("  [trace] {}-event recorder window", window.len());
         if let Some(tree) = &slowest_trace {
             println!(
                 "  [trace] slowest sampled trace {} ({:.3} ms wall):",
@@ -1823,10 +1797,9 @@ fn net_main(args: &[String]) {
         }
         let trace_report = NetTraceReport {
             id: "trace_net".to_owned(),
-            title: "Slow-request exemplars and their flight-recorder window".to_owned(),
+            title: "Flight-recorder window and the slowest kept request trace".to_owned(),
             obs_enabled: pic_obs::enabled(),
             slow_threshold_ms: slow_ms,
-            exemplars,
             window,
             sampled_traces,
             slowest_trace,
@@ -1908,16 +1881,11 @@ fn c10k_main(args: &[String]) {
     use std::collections::HashMap;
     use std::io::{BufReader, Write};
 
-    if !cfg!(target_os = "linux") {
-        println!("C10K_smoke — skipped: the epoll reactor is Linux-only");
-        return;
-    }
     let conns: usize = arg_value(args, "--conns").unwrap_or(1024);
     let loaded_n: usize = arg_value(args, "--loaded").unwrap_or(32);
     let per_loaded: usize = arg_value(args, "--requests").unwrap_or(16);
     let reactors: usize = arg_value(args, "--reactors").unwrap_or(4);
     // Both socket halves live in this one process.
-    #[cfg(target_os = "linux")]
     pic_net::raise_nofile_limit((4 * conns + 512) as u64).expect("raise RLIMIT_NOFILE");
 
     let mut config = RuntimeConfig::paper();

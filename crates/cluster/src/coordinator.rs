@@ -24,17 +24,29 @@
 //! in-flight shard call on a lost node surfaces a typed error and is
 //! retried exactly once against the new placement; a second loss on
 //! the retry surfaces [`ClusterError::NodeLost`] to the caller.
+//!
+//! ## Completion
+//!
+//! Every shard call goes out through [`Runtime::submit_with_waker`]
+//! under one per-request fan-in waker, which forwards a single
+//! `wake(token)` to the request's own waker once the last outstanding
+//! shard call settles. One step then collects the shard responses,
+//! resubmits each shard stranded by a node loss under the re-armed
+//! fan-in, or runs the reduce in shard order. The network front-end
+//! runs that step from [`ServeBackend::poll`] on its reactor thread;
+//! [`ClusterHandle::wait`] parks until woken and runs the same step.
+//! Neither ever waits on a shard.
 
 use crate::plan::{self, ShardSpec};
-use pic_net::{ServeBackend, ServeError, ServeOutcome};
+use pic_net::{ServeBackend, ServeError, ServeOutcome, Submitted};
 use pic_obs::{EventKind, Frame, HistogramSnapshot, StageFrame};
 use pic_runtime::{
-    MatmulRequest, OutputElement, RequestCost, ResponseHandle, Runtime, RuntimeConfig,
-    RuntimeError, TiledMatrix,
+    CompletionWaker, MatmulRequest, OutputElement, RequestCost, Response, ResponseHandle, Runtime,
+    RuntimeConfig, RuntimeError, TiledMatrix,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
 /// Load floor for placement weights, so matrices registered without a
@@ -147,8 +159,6 @@ struct ShardTarget {
     node: usize,
     matrix: Arc<TiledMatrix>,
     in_range: std::ops::Range<usize>,
-    out_offset: usize,
-    tiles: usize,
 }
 
 impl ShardTarget {
@@ -157,8 +167,6 @@ impl ShardTarget {
             node,
             matrix: Arc::clone(&shard.matrix),
             in_range: shard.spec.in_range.clone(),
-            out_offset: shard.spec.out_offset,
-            tiles: shard.matrix.tile_count(),
         }
     }
 }
@@ -175,7 +183,9 @@ struct MatrixPlan {
 struct Node {
     runtime: Runtime,
     alive: AtomicBool,
-    inflight: AtomicU64,
+    /// Shard calls in flight on this node; each [`ShardCall`] holds
+    /// one and gives it back when dropped.
+    inflight: Arc<AtomicU64>,
 }
 
 #[derive(Debug, Default)]
@@ -241,7 +251,7 @@ impl Coordinator {
             .map(|_| Node {
                 runtime: Runtime::start(config.node),
                 alive: AtomicBool::new(true),
-                inflight: AtomicU64::new(0),
+                inflight: Arc::new(AtomicU64::new(0)),
             })
             .collect::<Vec<_>>();
         Coordinator {
@@ -454,6 +464,25 @@ impl Coordinator {
     /// non-loss reason (propagating the typed [`RuntimeError`]),
     /// [`ClusterError::NoSurvivors`] when every node is lost.
     pub fn submit(&self, request: MatmulRequest) -> Result<ClusterHandle<'_>, ClusterError> {
+        let parker = Arc::new(Parker::default());
+        let flight = self.launch(request, 0, Arc::clone(&parker) as _)?;
+        Ok(ClusterHandle {
+            coordinator: self,
+            flight,
+            parker,
+        })
+    }
+
+    /// Validates the request and fans it out, every shard call waking
+    /// through one fan-in that forwards `wake(token)` to `waker` once
+    /// the last one settles. On `Err` the waker never fires: the
+    /// fan-in still counts the shards that were never submitted.
+    fn launch(
+        &self,
+        request: MatmulRequest,
+        token: u64,
+        waker: Arc<dyn CompletionWaker>,
+    ) -> Result<ClusterPending, ClusterError> {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(self.reject(ClusterError::Rejected(RuntimeError::ShuttingDown)));
         }
@@ -481,20 +510,25 @@ impl Coordinator {
                 .annotate(idx, &format!("fan-out over {shard_count} shards"));
             idx
         });
-        let mut handle = ClusterHandle {
-            coordinator: self,
-            request,
-            calls: Vec::with_capacity(shard_count),
-            retried: 0,
-            coord_span,
-        };
+        let fan_in = Arc::new(FanIn {
+            outstanding: AtomicUsize::new(shard_count),
+            token,
+            waker,
+        });
+        let mut shards = Vec::with_capacity(shard_count);
         for shard_idx in 0..shard_count {
-            match self.submit_shard(&handle.request, shard_idx, None, coord_span) {
-                Ok(call) => handle.calls.push(Some(call)),
+            match self.submit_shard(&request, shard_idx, None, coord_span, &fan_in) {
+                Ok(call) => shards.push(Shard::Calling(call)),
                 Err(e) => return Err(self.reject(e)),
             }
         }
-        Ok(handle)
+        Ok(ClusterPending {
+            request,
+            fan_in,
+            shards,
+            retried: 0,
+            coord_span,
+        })
     }
 
     /// Submits and waits — the blocking one-call form.
@@ -512,14 +546,15 @@ impl Coordinator {
     }
 
     /// Submits shard `shard_idx` of the request to the best live
-    /// replica, failing over (and marking nodes lost) until it lands
-    /// or no survivors remain.
+    /// replica under the request's fan-in, failing over (and marking
+    /// nodes lost) until it lands or no survivors remain.
     fn submit_shard(
         &self,
         request: &MatmulRequest,
         shard_idx: usize,
         exclude: Option<usize>,
         coord_span: Option<u32>,
+        fan_in: &Arc<FanIn>,
     ) -> Result<ShardCall, ClusterError> {
         // Bounded by the fleet size: each failed attempt kills a node.
         for _ in 0..=self.nodes.len() {
@@ -527,8 +562,6 @@ impl Coordinator {
                 node,
                 matrix: shard_matrix,
                 in_range,
-                out_offset,
-                tiles,
             } = self.pick_replica(request.matrix.id(), shard_idx, exclude)?;
             let inputs: Vec<Vec<f64>> = request
                 .inputs
@@ -551,16 +584,20 @@ impl Coordinator {
                     shard_request = shard_request.with_trace(t.child(idx));
                 }
             }
-            match self.nodes[node].runtime.submit(shard_request) {
-                Ok(inner) => {
-                    self.nodes[node].inflight.fetch_add(1, Ordering::Relaxed);
+            let waker = Arc::clone(fan_in) as Arc<dyn CompletionWaker>;
+            match self.nodes[node]
+                .runtime
+                .submit_with_waker(shard_request, shard_idx as u64, waker)
+            {
+                Ok(handle) => {
+                    let inflight = Arc::clone(&self.nodes[node].inflight);
+                    inflight.fetch_add(1, Ordering::Relaxed);
                     return Ok(ShardCall {
-                        shard_idx,
                         node,
-                        out_offset,
-                        tiles,
                         span,
-                        handle: inner,
+                        retry: false,
+                        handle,
+                        inflight,
                     });
                 }
                 // The node stopped accepting or died under us: mark it
@@ -630,6 +667,169 @@ impl Coordinator {
                 Some(&node) => Ok(ShardTarget::new(node, shard)),
                 None => Err(ClusterError::NoSurvivors),
             }
+        }
+    }
+
+    /// The one step of a request whose fan-in fired (every call of the
+    /// last arm settled): collects the shard responses, retries each
+    /// shard a node loss stranded exactly once under the re-armed
+    /// fan-in, and otherwise reduces. `None` means re-armed: the
+    /// request's waker fires once more. Never waits on a shard.
+    fn step(&self, flight: &mut ClusterPending) -> Option<Result<ClusterResponse, ClusterError>> {
+        let trace = flight.request.trace.as_ref();
+        let mut stranded = Vec::new();
+        for (shard_idx, shard) in flight.shards.iter_mut().enumerate() {
+            let Shard::Calling(call) = shard else {
+                continue;
+            };
+            let node = call.node;
+            // Settled, so an empty handle is a lost worker.
+            let result = call.handle.try_wait();
+            match result.unwrap_or(Err(RuntimeError::WorkerLost)) {
+                Ok(response) => {
+                    if let Some(t) = trace {
+                        t.collector.end(call.span);
+                    }
+                    *shard = Shard::Served { response, node };
+                }
+                // The node died under this in-flight call: retry
+                // exactly once against the new placement.
+                Err(RuntimeError::ShuttingDown | RuntimeError::WorkerLost) => {
+                    self.mark_lost(node);
+                    if call.retry {
+                        return Some(Err(self.reject(ClusterError::NodeLost { node })));
+                    }
+                    if let Some(t) = trace {
+                        t.collector
+                            .annotate(call.span, &format!("node {node} lost in flight, retrying"));
+                        t.collector.end(call.span);
+                    }
+                    stranded.push((shard_idx, node));
+                }
+                Err(e) => return Some(Err(self.reject(ClusterError::Rejected(e)))),
+            }
+        }
+        if stranded.is_empty() {
+            return Some(Ok(self.reduce(flight)));
+        }
+        // Every call of the last arm settled, so nothing else counts
+        // the fan-in down while it re-arms for exactly the retries.
+        flight
+            .fan_in
+            .outstanding
+            .store(stranded.len(), Ordering::Release);
+        for (shard_idx, lost) in stranded {
+            self.counters.retried_shards.fetch_add(1, Ordering::Relaxed);
+            flight.retried += 1;
+            let mut retry = match self.submit_shard(
+                &flight.request,
+                shard_idx,
+                Some(lost),
+                flight.coord_span,
+                &flight.fan_in,
+            ) {
+                Ok(call) => call,
+                Err(e) => return Some(Err(self.reject(e))),
+            };
+            retry.retry = true;
+            self.record_event(
+                EventKind::ShardRetry,
+                flight.request.matrix.id(),
+                retry.node as u64,
+            );
+            if let Some(t) = trace {
+                t.collector.annotate(
+                    retry.span,
+                    &format!(
+                        "retry after node {lost} loss, re-placed on node {}",
+                        retry.node
+                    ),
+                );
+            }
+            flight.shards[shard_idx] = Shard::Calling(retry);
+        }
+        None
+    }
+
+    /// Reduces a fully served request's partial code sums, in shard
+    /// order, into the parent-shaped outputs.
+    fn reduce(&self, flight: &ClusterPending) -> ClusterResponse {
+        let request = &flight.request;
+        let samples = request.inputs.len();
+        let out_dim = request.matrix.out_dim();
+        let mut code_sums = vec![0u32; samples * out_dim];
+        let mut cost = RequestCost::default();
+        let mut batched_with = 1usize;
+        let mut widest: (usize, usize) = (0, 0); // (tiles, node)
+        let plans = self.plans.read().expect("plans lock");
+        let plan = &plans[&request.matrix.id()];
+        for (shard, planned) in flight.shards.iter().zip(&plan.shards) {
+            let Shard::Served {
+                response: resp,
+                node,
+            } = shard
+            else {
+                unreachable!("the reduce runs only once every shard is served");
+            };
+            // Reduce: digital post-ADC accumulation — exact u32 sums.
+            let shard_out = resp.outputs.first().map_or(0, Vec::len);
+            for (s, sample) in resp.outputs.iter().enumerate() {
+                let base = s * out_dim + planned.spec.out_offset;
+                for (acc, elem) in code_sums[base..base + shard_out].iter_mut().zip(sample) {
+                    *acc += elem.code_sum;
+                }
+            }
+            cost.tiles += resp.cost.tiles;
+            cost.tiles_written += resp.cost.tiles_written;
+            cost.tiles_resident += resp.cost.tiles_resident;
+            cost.write_time_s += resp.cost.write_time_s;
+            cost.compute_time_s += resp.cost.compute_time_s;
+            cost.write_energy_j += resp.cost.write_energy_j;
+            cost.compute_energy_j += resp.cost.compute_energy_j;
+            batched_with = batched_with.max(resp.batched_with);
+            let tiles = planned.matrix.tile_count();
+            if tiles >= widest.0 {
+                widest = (tiles, *node);
+            }
+        }
+
+        // Dequantise with the parent-matrix scale — the exact
+        // expression (and operation order) the single-node executor
+        // applies, so merged values are bit-identical to its output.
+        let scale = plan.scale;
+        drop(plans);
+        let outputs: Vec<Vec<OutputElement>> = (0..samples)
+            .map(|s| {
+                code_sums[s * out_dim..(s + 1) * out_dim]
+                    .iter()
+                    .map(|&code_sum| OutputElement {
+                        code_sum,
+                        value: f64::from(code_sum) * scale,
+                    })
+                    .collect()
+            })
+            .collect();
+
+        if let Some(t) = request.trace.as_ref() {
+            if flight.retried > 0 {
+                t.collector.annotate(
+                    flight.coord_span,
+                    &format!("{} shard call(s) retried after node loss", flight.retried),
+                );
+            }
+            t.collector.end(flight.coord_span);
+        }
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .samples
+            .fetch_add(samples as u64, Ordering::Relaxed);
+        ClusterResponse {
+            outputs,
+            cost,
+            node: widest.1,
+            batched_with,
+            shards: flight.shards.len(),
+            retried: flight.retried,
         }
     }
 
@@ -776,13 +976,98 @@ fn merge_hist(
 /// One in-flight shard call.
 #[derive(Debug)]
 struct ShardCall {
-    shard_idx: usize,
     node: usize,
-    out_offset: usize,
-    tiles: usize,
     /// This attempt's "shard" trace span (traced requests only).
     span: Option<u32>,
+    /// Whether this call is its shard's one retry after a node loss.
+    retry: bool,
     handle: ResponseHandle,
+    /// The node's in-flight gauge, given back on drop.
+    inflight: Arc<AtomicU64>,
+}
+
+impl Drop for ShardCall {
+    fn drop(&mut self) {
+        // Collected, abandoned by an early error, or dropped with its
+        // request: the slot comes back either way; the work itself
+        // drains inside the node runtime.
+        self.inflight.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// One planned shard of an in-flight request.
+#[derive(Debug)]
+enum Shard {
+    /// Its current call, not yet collected.
+    Calling(ShardCall),
+    /// Its collected response and the node that served it.
+    Served { response: Response, node: usize },
+}
+
+/// Counts a request's outstanding shard calls down and forwards one
+/// `wake(token)` to the request's waker when the last one settles.
+struct FanIn {
+    outstanding: AtomicUsize,
+    token: u64,
+    waker: Arc<dyn CompletionWaker>,
+}
+
+impl CompletionWaker for FanIn {
+    fn wake(&self, _shard: u64) {
+        // AcqRel: the last decrement acquires every earlier shard's
+        // release (and the re-arm's store), so the step that follows
+        // the forwarded wake sees every call of the arm settled.
+        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.waker.wake(self.token);
+        }
+    }
+}
+
+impl std::fmt::Debug for FanIn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FanIn")
+            .field("outstanding", &self.outstanding.load(Ordering::Relaxed))
+            .field("token", &self.token)
+            .finish()
+    }
+}
+
+/// The waker behind [`ClusterHandle::wait`]: parks the waiting thread
+/// until the request's fan-in fires.
+#[derive(Debug, Default)]
+struct Parker {
+    woken: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Parker {
+    fn park(&self) {
+        let mut woken = self.woken.lock().expect("parker lock");
+        while !*woken {
+            woken = self.wake.wait(woken).expect("parker lock");
+        }
+        *woken = false;
+    }
+}
+
+impl CompletionWaker for Parker {
+    fn wake(&self, _token: u64) {
+        *self.woken.lock().expect("parker lock") = true;
+        self.wake.notify_one();
+    }
+}
+
+/// The in-flight state of one cluster request between wakes of its
+/// fan-in: the [`ServeBackend::Pending`] of a [`Coordinator`].
+#[derive(Debug)]
+pub struct ClusterPending {
+    request: MatmulRequest,
+    fan_in: Arc<FanIn>,
+    /// One entry per planned shard, in shard order.
+    shards: Vec<Shard>,
+    retried: usize,
+    /// The "coordinator" span covering fan-out + reduce (traced only).
+    coord_span: Option<u32>,
 }
 
 /// The in-flight handle of one cluster request: one shard call per
@@ -790,17 +1075,15 @@ struct ShardCall {
 #[derive(Debug)]
 pub struct ClusterHandle<'a> {
     coordinator: &'a Coordinator,
-    request: MatmulRequest,
-    calls: Vec<Option<ShardCall>>,
-    retried: usize,
-    /// The "coordinator" span covering fan-out + reduce (traced only).
-    coord_span: Option<u32>,
+    flight: ClusterPending,
+    parker: Arc<Parker>,
 }
 
 impl ClusterHandle<'_> {
-    /// Blocks for every shard call and reduces the partial code sums
-    /// into the parent-shaped outputs. A shard call that dies with its
-    /// node is retried exactly once against the post-loss placement.
+    /// Blocks until every shard call settles and reduces the partial
+    /// code sums into the parent-shaped outputs. A shard call that dies
+    /// with its node is retried exactly once against the post-loss
+    /// placement.
     ///
     /// # Errors
     ///
@@ -808,174 +1091,50 @@ impl ClusterHandle<'_> {
     /// [`ClusterError::NodeLost`] when a retry also lands on a dying
     /// node, [`ClusterError::NoSurvivors`] when no placement remains.
     pub fn wait(mut self) -> Result<ClusterResponse, ClusterError> {
-        let coordinator = self.coordinator;
-        let samples = self.request.inputs.len();
-        let out_dim = self.request.matrix.out_dim();
-        let mut code_sums = vec![0u32; samples * out_dim];
-        let mut cost = RequestCost::default();
-        let mut batched_with = 1usize;
-        let mut widest: (usize, usize) = (0, 0); // (tiles, node)
-        let mut shards = 0usize;
-
-        for i in 0..self.calls.len() {
-            let mut call = self.calls[i].take().expect("each shard call settles once");
-            let node = call.node;
-            let result = call.handle.wait();
-            coordinator.nodes[node]
-                .inflight
-                .fetch_sub(1, Ordering::Relaxed);
-            let resp = match result {
-                Ok(resp) => {
-                    if let Some(t) = self.request.trace.as_ref() {
-                        t.collector.end(call.span);
-                    }
-                    resp
-                }
-                // The node died under this in-flight call: retry
-                // exactly once against the new placement.
-                Err(RuntimeError::ShuttingDown | RuntimeError::WorkerLost) => {
-                    if let Some(t) = self.request.trace.as_ref() {
-                        t.collector
-                            .annotate(call.span, &format!("node {node} lost in flight, retrying"));
-                        t.collector.end(call.span);
-                    }
-                    coordinator.mark_lost(node);
-                    coordinator
-                        .counters
-                        .retried_shards
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.retried += 1;
-                    let retry = coordinator
-                        .submit_shard(&self.request, call.shard_idx, Some(node), self.coord_span)
-                        .map_err(|e| coordinator.reject(e))?;
-                    coordinator.record_event(
-                        EventKind::ShardRetry,
-                        self.request.matrix.id(),
-                        retry.node as u64,
-                    );
-                    let retry_node = retry.node;
-                    if let Some(t) = self.request.trace.as_ref() {
-                        t.collector.annotate(
-                            retry.span,
-                            &format!(
-                                "retry after node {node} loss, re-placed on node {retry_node}"
-                            ),
-                        );
-                    }
-                    let result = retry.handle.wait();
-                    coordinator.nodes[retry_node]
-                        .inflight
-                        .fetch_sub(1, Ordering::Relaxed);
-                    match result {
-                        Ok(resp) => {
-                            if let Some(t) = self.request.trace.as_ref() {
-                                t.collector.end(retry.span);
-                            }
-                            call.node = retry_node;
-                            resp
-                        }
-                        Err(RuntimeError::ShuttingDown | RuntimeError::WorkerLost) => {
-                            coordinator.mark_lost(retry_node);
-                            return Err(
-                                coordinator.reject(ClusterError::NodeLost { node: retry_node })
-                            );
-                        }
-                        Err(e) => return Err(coordinator.reject(ClusterError::Rejected(e))),
-                    }
-                }
-                Err(e) => return Err(coordinator.reject(ClusterError::Rejected(e))),
-            };
-
-            // Reduce: digital post-ADC accumulation — exact u32 sums.
-            let shard_out = resp.outputs.first().map_or(0, Vec::len);
-            for (s, sample) in resp.outputs.iter().enumerate() {
-                let base = s * out_dim + call.out_offset;
-                for (acc, elem) in code_sums[base..base + shard_out].iter_mut().zip(sample) {
-                    *acc += elem.code_sum;
-                }
+        loop {
+            self.parker.park();
+            if let Some(result) = self.coordinator.step(&mut self.flight) {
+                return result;
             }
-            cost.tiles += resp.cost.tiles;
-            cost.tiles_written += resp.cost.tiles_written;
-            cost.tiles_resident += resp.cost.tiles_resident;
-            cost.write_time_s += resp.cost.write_time_s;
-            cost.compute_time_s += resp.cost.compute_time_s;
-            cost.write_energy_j += resp.cost.write_energy_j;
-            cost.compute_energy_j += resp.cost.compute_energy_j;
-            batched_with = batched_with.max(resp.batched_with);
-            if call.tiles >= widest.0 {
-                widest = (call.tiles, call.node);
-            }
-            shards += 1;
-        }
-
-        // Dequantise with the parent-matrix scale — the exact
-        // expression (and operation order) the single-node executor
-        // applies, so merged values are bit-identical to its output.
-        let scale = coordinator.plans.read().expect("plans lock")[&self.request.matrix.id()].scale;
-        let outputs: Vec<Vec<OutputElement>> = (0..samples)
-            .map(|s| {
-                code_sums[s * out_dim..(s + 1) * out_dim]
-                    .iter()
-                    .map(|&code_sum| OutputElement {
-                        code_sum,
-                        value: f64::from(code_sum) * scale,
-                    })
-                    .collect()
-            })
-            .collect();
-
-        if let Some(t) = self.request.trace.as_ref() {
-            if self.retried > 0 {
-                t.collector.annotate(
-                    self.coord_span,
-                    &format!("{} shard call(s) retried after node loss", self.retried),
-                );
-            }
-            t.collector.end(self.coord_span);
-        }
-        coordinator
-            .counters
-            .completed
-            .fetch_add(1, Ordering::Relaxed);
-        coordinator
-            .counters
-            .samples
-            .fetch_add(samples as u64, Ordering::Relaxed);
-        Ok(ClusterResponse {
-            outputs,
-            cost,
-            node: widest.1,
-            batched_with,
-            shards,
-            retried: self.retried,
-        })
-    }
-}
-
-impl Drop for ClusterHandle<'_> {
-    fn drop(&mut self) {
-        // Shard calls abandoned by an early error (or a dropped
-        // handle) still release their in-flight slots; the work itself
-        // drains inside the node runtimes.
-        for call in self.calls.iter_mut().filter_map(Option::take) {
-            self.coordinator.nodes[call.node]
-                .inflight
-                .fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
 
-impl ServeBackend for Coordinator {
-    fn serve(&self, request: MatmulRequest) -> Result<ServeOutcome, ServeError> {
-        let resp = self.submit_blocking(request)?;
-        Ok(ServeOutcome {
+impl From<ClusterResponse> for ServeOutcome {
+    fn from(resp: ClusterResponse) -> ServeOutcome {
+        ServeOutcome {
             outputs: resp.outputs,
             device: resp.node as u64,
             batched_with: resp.batched_with as u64,
             tiles_written: resp.cost.tiles_written as u64,
             tiles_resident: resp.cost.tiles_resident as u64,
             energy_j: resp.cost.total_energy_j(),
-        })
+        }
+    }
+}
+
+impl ServeBackend for Coordinator {
+    type Pending = ClusterPending;
+
+    fn submit(
+        &self,
+        request: MatmulRequest,
+        token: u64,
+        waker: Arc<dyn CompletionWaker>,
+    ) -> Submitted<ClusterPending> {
+        match self.launch(request, token, waker) {
+            Ok(flight) => Submitted::Pending(flight),
+            Err(e) => Submitted::Ready(Err(e.into())),
+        }
+    }
+
+    fn poll(&self, mut flight: ClusterPending) -> Submitted<ClusterPending> {
+        match self.step(&mut flight) {
+            Some(result) => {
+                Submitted::Ready(result.map(ServeOutcome::from).map_err(ServeError::from))
+            }
+            None => Submitted::Pending(flight),
+        }
     }
 
     fn is_accepting(&self) -> bool {

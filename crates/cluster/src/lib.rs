@@ -22,9 +22,14 @@
 //!   placement;
 //! * a **cluster frame roll-up** ([`Coordinator::frame`]) exposing
 //!   per-node busy fraction, achieved vs. peak samples/s, and shard
-//!   balance through the existing `pic-net` `/metrics` path — the
-//!   coordinator implements [`ServeBackend`](pic_net::ServeBackend),
-//!   so one HTTP front-end serves the whole fleet.
+//!   balance through the existing `pic-net` `/metrics` path;
+//! * **waker completion**: every shard call wakes one per-request
+//!   fan-in, and a single step collects, retries or reduces once it
+//!   fires. The coordinator implements
+//!   [`ServeBackend`](pic_net::ServeBackend) on that step
+//!   ([`ClusterPending`] is its in-flight state), so one HTTP
+//!   front-end serves the whole fleet from its reactor threads;
+//!   [`ClusterHandle::wait`] parks until woken and runs the same step.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,5 +38,6 @@ mod coordinator;
 pub mod plan;
 
 pub use coordinator::{
-    ClusterConfig, ClusterCounters, ClusterError, ClusterHandle, ClusterResponse, Coordinator,
+    ClusterConfig, ClusterCounters, ClusterError, ClusterHandle, ClusterPending, ClusterResponse,
+    Coordinator,
 };

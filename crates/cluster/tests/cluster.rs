@@ -1,17 +1,22 @@
 //! Cluster end-to-end guarantees: the reduce layer is bit-identical to
 //! single-node serving (including under an induced node failure with
-//! retry), failure re-sharding re-places work on survivors, and the
-//! roll-up frame reports the fleet.
+//! retry), failure re-sharding re-places work on survivors, the
+//! roll-up frame reports the fleet, and the coordinator serves through
+//! the `pic-net` reactor — over the wire, and through the
+//! `ServeBackend` submit/poll path the reactor drives.
 
-use pic_cluster::{ClusterConfig, ClusterError, Coordinator};
+use pic_cluster::{ClusterConfig, ClusterError, ClusterPending, Coordinator};
+use pic_net::{MatmulWire, NetClient, NetConfig, NetError, NetServer, ServeBackend, Submitted};
 use pic_runtime::{
-    AdmissionPolicyKind, MatmulRequest, Runtime, RuntimeConfig, RuntimeError, TileShape,
-    TiledMatrix,
+    AdmissionPolicyKind, CompletionWaker, MatmulRequest, OutputElement, Runtime, RuntimeConfig,
+    RuntimeError, TileExecutor, TileShape, TiledMatrix,
 };
 use pic_tensor::TensorCoreConfig;
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn node_config(devices: usize) -> RuntimeConfig {
     RuntimeConfig {
@@ -442,6 +447,241 @@ fn traced_cluster_request_nests_shard_spans_with_node_ids() {
             "each shard call records a {label} span under its shard span"
         );
     }
+}
+
+/// Exact equality with the solo executor: code sums and `f64` bits.
+fn assert_outputs_identical(got: &[Vec<OutputElement>], want: &[Vec<OutputElement>], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: sample count");
+    for (s, (g_row, w_row)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g_row.len(), w_row.len(), "{what}: sample {s} width");
+        for (r, (g, w)) in g_row.iter().zip(w_row).enumerate() {
+            assert_eq!(
+                g.code_sum, w.code_sum,
+                "{what}: sample {s} row {r} code sum"
+            );
+            assert_eq!(
+                g.value.to_bits(),
+                w.value.to_bits(),
+                "{what}: sample {s} row {r} value"
+            );
+        }
+    }
+}
+
+/// Names of this process's live threads, as the kernel truncates them
+/// (15 bytes).
+fn live_thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs lists this process's threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_owned())
+        .collect()
+}
+
+#[test]
+fn networked_cluster_is_bit_identical_and_drains_without_loss() {
+    const CLIENTS: usize = 6;
+    let coordinator = cluster(3);
+    // On 4×4 tiles a 12×10 matrix plans three row shards and an 8×8
+    // one two, so every request fans in more than one shard call.
+    let models = [matrix(12, 10, 7), matrix(8, 8, 21)];
+    for m in &models {
+        coordinator.register(m, 0.5);
+    }
+    let registry: HashMap<String, Arc<TiledMatrix>> = models
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (format!("model-{i}"), Arc::clone(m)))
+        .collect();
+    let server =
+        NetServer::start(NetConfig::default(), coordinator, registry).expect("binds loopback");
+    let addr = server.local_addr();
+    let oks = AtomicU64::new(0);
+    let severed = AtomicU64::new(0);
+    let drained = std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (oks, severed, models) = (&oks, &severed, &models);
+            scope.spawn(move || {
+                let mut client =
+                    NetClient::connect(addr, &format!("client-{c}")).expect("connects");
+                let mut solo = TileExecutor::new(TensorCoreConfig::small_demo(), 900);
+                // Until the drain closes the connection.
+                for i in 0usize.. {
+                    let which = (c + i) % models.len();
+                    let ins = inputs(1 + i % 2, models[which].in_dim(), (c * 7919 + i) as u64);
+                    match client.matmul(&MatmulWire {
+                        model: format!("model-{which}"),
+                        inputs: ins.clone(),
+                        deadline_ms: None,
+                    }) {
+                        Ok(reply) => {
+                            let (want, _) = solo.execute(&models[which], &ins).expect("replay");
+                            assert_outputs_identical(
+                                &reply.outputs,
+                                &want,
+                                &format!("client {c} request {i}"),
+                            );
+                            oks.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // The drain closed the connection before this
+                        // request was read: never accepted, not lost.
+                        Err(NetError::Transport(_)) => {
+                            severed.fetch_add(1, Ordering::Relaxed);
+                            return;
+                        }
+                        Err(other) => panic!("client {c} request {i}: {other}"),
+                    }
+                }
+            });
+        }
+        let serving = Instant::now();
+        while oks.load(Ordering::Relaxed) < 50 {
+            assert!(
+                serving.elapsed() < Duration::from_secs(60),
+                "the fleet served nothing"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let names = live_thread_names();
+        assert!(
+            names.iter().any(|n| n.starts_with("pic-net-reactor")),
+            "the thread listing sees the reactors: {names:?}"
+        );
+        let offload: Vec<&String> = names
+            .iter()
+            .filter(|n| n.starts_with("pic-net-offload"))
+            .collect();
+        assert!(
+            offload.is_empty(),
+            "cluster requests complete through the reactor's waker, on no offload thread: \
+             {offload:?}"
+        );
+        // Shut down mid-burst, from outside the client fleet.
+        server.shutdown()
+    });
+    let ok = oks.load(Ordering::Relaxed);
+    assert_eq!(
+        severed.load(Ordering::Relaxed),
+        CLIENTS as u64,
+        "the drain ended every client"
+    );
+    let counters = drained.counters();
+    assert_eq!(
+        counters.submitted, counters.completed,
+        "the drain flushed every accepted request"
+    );
+    assert_eq!(
+        counters.completed, ok,
+        "every request the coordinator accepted came back as a 200"
+    );
+    assert_eq!(counters.rejected, 0);
+}
+
+/// Records every wake, in order, and lets the test wait for the next.
+#[derive(Default)]
+struct RecordingWaker {
+    woken: Mutex<Vec<u64>>,
+    signal: Condvar,
+}
+
+impl CompletionWaker for RecordingWaker {
+    fn wake(&self, token: u64) {
+        self.woken.lock().expect("wake log").push(token);
+        self.signal.notify_all();
+    }
+}
+
+impl RecordingWaker {
+    /// Blocks until more than `seen` wakes are logged; returns the new
+    /// ones.
+    fn wait_past(&self, seen: usize) -> Vec<u64> {
+        let log = self.woken.lock().expect("wake log");
+        let (log, wait) = self
+            .signal
+            .wait_timeout_while(log, Duration::from_secs(60), |log| log.len() <= seen)
+            .expect("wake log");
+        assert!(!wait.timed_out(), "no wake in 60 s: a request is stranded");
+        log[seen..].to_vec()
+    }
+}
+
+/// Kills the only replica of a single-shard matrix under a backlog of
+/// requests driven through `ServeBackend::submit`/`poll`, checking
+/// every invariant. Returns how many times `poll` re-armed the waker.
+fn kill_under_poll(seed: u64) -> usize {
+    const REQUESTS: usize = 64;
+    let mut coordinator = cluster(3);
+    // One 4×4 tile: one shard with one replica, so each stranded
+    // request retries exactly one shard call.
+    let m = matrix(4, 4, seed);
+    coordinator.register(&m, 0.0);
+    let victim = coordinator.placement(m.id())[0][0];
+    let waker = Arc::new(RecordingWaker::default());
+    let mut pending: Vec<Option<ClusterPending>> = (0..REQUESTS)
+        .map(|t| {
+            let request = MatmulRequest::new(Arc::clone(&m), inputs(1, 4, t as u64));
+            let waker = Arc::clone(&waker) as Arc<dyn CompletionWaker>;
+            match ServeBackend::submit(&coordinator, request, t as u64, waker) {
+                Submitted::Pending(flight) => Some(flight),
+                Submitted::Ready(result) => panic!("request {t} settled at submit: {result:?}"),
+            }
+        })
+        .collect();
+    coordinator.node(victim).kill();
+
+    let mut solo = TileExecutor::new(TensorCoreConfig::small_demo(), 900);
+    let mut arms = vec![1usize; REQUESTS];
+    let (mut seen, mut open) = (0, REQUESTS);
+    while open > 0 {
+        for token in waker.wait_past(seen) {
+            seen += 1;
+            let t = token as usize;
+            let flight = pending[t]
+                .take()
+                .unwrap_or_else(|| panic!("token {t} woke while not armed"));
+            match ServeBackend::poll(&coordinator, flight) {
+                Submitted::Pending(flight) => {
+                    arms[t] += 1;
+                    pending[t] = Some(flight);
+                }
+                Submitted::Ready(result) => {
+                    let outcome = result.unwrap_or_else(|e| panic!("request {t} failed: {e}"));
+                    let (want, _) = solo.execute(&m, &inputs(1, 4, t as u64)).expect("replay");
+                    assert_outputs_identical(&outcome.outputs, &want, &format!("request {t}"));
+                    open -= 1;
+                }
+            }
+        }
+    }
+    // Joins every node thread, so no wake is still on its way.
+    coordinator.shutdown();
+    let woken = waker.woken.lock().expect("wake log").clone();
+    for (t, &armed) in arms.iter().enumerate() {
+        assert!(armed <= 2, "request {t} re-armed {} times", armed - 1);
+        let wakes = woken.iter().filter(|&&w| w == t as u64).count();
+        assert_eq!(wakes, armed, "token {t} wakes exactly once per arm");
+    }
+    let re_arms = arms.iter().map(|a| a - 1).sum::<usize>();
+    let counters = coordinator.counters();
+    assert_eq!(counters.retried_shards as usize, re_arms);
+    assert_eq!(counters.node_losses, u64::from(re_arms > 0));
+    assert_eq!(
+        (counters.submitted, counters.completed),
+        (REQUESTS as u64, REQUESTS as u64)
+    );
+    re_arms
+}
+
+#[test]
+fn node_kill_under_submit_and_poll_retries_through_the_rearmed_waker() {
+    // Whether a kill strands a call depends on how far the node got
+    // through its backlog, so repeat on fresh clusters until one does.
+    const ATTEMPTS: u64 = 10;
+    let stranded = (0..ATTEMPTS).any(|attempt| kill_under_poll(21 + attempt) > 0);
+    assert!(
+        stranded,
+        "no kill in {ATTEMPTS} attempts stranded a shard call"
+    );
 }
 
 proptest! {

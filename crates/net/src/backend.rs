@@ -2,12 +2,19 @@
 //!
 //! The HTTP front-end doesn't care whether a matmul is executed by one
 //! in-process [`Runtime`] or fanned out across a cluster of them — it
-//! needs five capabilities: serve a request to completion, answer the
-//! health probe, produce a metrics [`Frame`](pic_obs::Frame), record a
-//! front-end event into a flight recorder, and shut down. Those five
-//! are [`ServeBackend`]; `pic-net` implements it for [`Runtime`] and
-//! `pic-cluster` implements it for its `Coordinator`, so one front-end
-//! serves both a single node and a whole fleet.
+//! needs five capabilities: take a request without blocking and finish
+//! it when woken, answer the health probe, produce a metrics
+//! [`Frame`](pic_obs::Frame), record a front-end event into a flight
+//! recorder, and shut down. Those five are [`ServeBackend`]; `pic-net`
+//! implements it for [`Runtime`] and `pic-cluster` implements it for
+//! its `Coordinator`, so one front-end serves both a single node and a
+//! whole fleet.
+//!
+//! A request moves through one path: [`ServeBackend::submit`] answers
+//! [`Submitted::Ready`] or [`Submitted::Pending`] with the backend's
+//! in-flight state; each `wake(token)` on the submitter's
+//! [`CompletionWaker`] hands that state to [`ServeBackend::poll`],
+//! which answers the same way. Neither call ever blocks.
 
 use crate::wire::error_status;
 use pic_obs::EventKind;
@@ -85,48 +92,38 @@ impl From<Response> for ServeOutcome {
     }
 }
 
-/// How a backend took (or refused) a non-blocking submission
-/// ([`ServeBackend::submit`]).
+/// Where a request stands after [`ServeBackend::submit`] or
+/// [`ServeBackend::poll`].
 #[derive(Debug)]
-pub enum Submitted {
-    /// Accepted: the waker will fire `wake(token)` exactly once, after
-    /// which [`ResponseHandle::try_wait`] returns `Some`.
-    Pending(ResponseHandle),
-    /// Resolved synchronously (typed rejection or immediate result);
-    /// the waker will *not* fire.
+pub enum Submitted<P> {
+    /// Settled (typed rejection or result): the waker will not fire
+    /// again for this request.
     Ready(Result<ServeOutcome, ServeError>),
-    /// This backend only serves blocking calls — the caller gets the
-    /// request back and must run [`ServeBackend::serve`] off the event
-    /// loop (the reactor's bounded offload pool does this for the
-    /// cluster coordinator).
-    Blocking(MatmulRequest),
+    /// In flight: the waker fires `wake(token)` exactly once when the
+    /// request can move on, and the state then goes to
+    /// [`ServeBackend::poll`].
+    Pending(P),
 }
 
 /// What the HTTP front-end needs from whatever executes matmuls.
 pub trait ServeBackend: Send + Sync + 'static {
-    /// Serves one request to completion (blocking).
-    ///
-    /// # Errors
-    ///
-    /// Returns the wire-mapped error when the request is rejected or
-    /// fails.
-    fn serve(&self, request: MatmulRequest) -> Result<ServeOutcome, ServeError>;
+    /// A request's in-flight state between its wakes.
+    type Pending: Send + 'static;
 
-    /// Submits without blocking, for multiplexed front-ends: the
-    /// backend either resolves synchronously, or accepts the request
-    /// and later fires `waker.wake(token)` exactly once when the
-    /// returned handle becomes ready. Backends with no non-blocking
-    /// path return [`Submitted::Blocking`] (the default), handing the
-    /// request back for the caller's offload pool.
+    /// Submits without blocking: the backend either settles the
+    /// request synchronously, or accepts it and later fires
+    /// `waker.wake(token)` exactly once.
     fn submit(
         &self,
         request: MatmulRequest,
         token: u64,
         waker: Arc<dyn CompletionWaker>,
-    ) -> Submitted {
-        let _ = (token, waker);
-        Submitted::Blocking(request)
-    }
+    ) -> Submitted<Self::Pending>;
+
+    /// Moves a request on after its waker fired. Never blocks; a
+    /// [`Submitted::Pending`] answer means the backend re-armed the
+    /// same waker, which fires `wake(token)` exactly once more.
+    fn poll(&self, pending: Self::Pending) -> Submitted<Self::Pending>;
 
     /// Whether the backend still accepts new work (drives `/healthz`).
     fn is_accepting(&self) -> bool;
@@ -138,26 +135,30 @@ pub trait ServeBackend: Send + Sync + 'static {
     fn record_event(&self, kind: EventKind, a: u64, b: u64);
 
     /// Drains and joins the backend. Called exactly once, after every
-    /// connection thread has exited.
+    /// reactor thread has exited.
     fn shutdown(&mut self);
 }
 
 impl ServeBackend for Runtime {
-    fn serve(&self, request: MatmulRequest) -> Result<ServeOutcome, ServeError> {
-        let resp = Runtime::submit(self, request).and_then(ResponseHandle::wait)?;
-        Ok(ServeOutcome::from(resp))
-    }
+    type Pending = ResponseHandle;
 
     fn submit(
         &self,
         request: MatmulRequest,
         token: u64,
         waker: Arc<dyn CompletionWaker>,
-    ) -> Submitted {
+    ) -> Submitted<ResponseHandle> {
         match self.submit_with_waker(request, token, waker) {
             Ok(handle) => Submitted::Pending(handle),
             Err(e) => Submitted::Ready(Err(e.into())),
         }
+    }
+
+    fn poll(&self, handle: ResponseHandle) -> Submitted<ResponseHandle> {
+        // The waker fires only after the response channel settled; an
+        // empty handle here is a lost worker.
+        let result = handle.try_wait().unwrap_or(Err(RuntimeError::WorkerLost));
+        Submitted::Ready(result.map(ServeOutcome::from).map_err(ServeError::from))
     }
 
     fn is_accepting(&self) -> bool {

@@ -6,10 +6,10 @@
 //! exactly the subset the front-end speaks (no chunked encoding, no
 //! continuation headers, ASCII header names) and rejects everything
 //! else with a typed parse error so a malformed peer gets a `400`, not
-//! a hung connection. Reads honour the socket read timeout: a timeout
-//! while waiting for the *first* byte of a request is reported as
-//! [`RecvError::Idle`] (the keep-alive poll quantum); a timeout
-//! mid-request is a transport error.
+//! a hung connection. The reactor frames requests with the incremental
+//! [`RequestParser`]; the blocking one-shot [`read_request`] stays only
+//! as its reference, which the `http_incremental` proptest pins it
+//! against.
 
 use std::io::{BufRead, Write};
 
@@ -101,10 +101,10 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, std::io::Error> {
     }
 }
 
-/// Reads and parses one request. See [`RecvError`] for the non-request
-/// outcomes; notably a timeout while the connection is idle between
-/// requests is [`RecvError::Idle`], so a keep-alive reader can poll a
-/// shutdown flag at its read-timeout quantum.
+/// Reads and parses one request from a blocking reader — the reference
+/// [`RequestParser`] is tested against. See [`RecvError`] for the
+/// non-request outcomes; a timeout while the connection is idle
+/// between requests is [`RecvError::Idle`].
 ///
 /// # Errors
 ///

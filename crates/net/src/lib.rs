@@ -7,25 +7,24 @@
 //! printing), so a networked result equals the in-process result
 //! exactly.
 //!
-//! ## Transport engines
+//! ## Transport engine
 //!
-//! The default engine is an **epoll reactor** ([`reactor`], Linux): a
-//! fixed pool of event-loop threads (≈ cores) multiplexes every
+//! Every connection is served by the **epoll reactor** ([`reactor`]):
+//! a fixed pool of event-loop threads (≈ cores) multiplexes every
 //! connection — thousands of keep-alive sockets cost fds, not
 //! threads. Requests are framed by an incremental parser
-//! ([`http::RequestParser`]), submitted to the backend without
-//! blocking, and completed through an eventfd-woken queue; responses
+//! ([`http::RequestParser`]) and submitted to the [`ServeBackend`]
+//! without blocking; the backend's wake lands on an eventfd-woken
+//! queue, from which the reactor polls the request on. Responses
 //! stream out under `EPOLLOUT` backpressure. Mid-request stalls are
 //! reclaimed by a timer wheel; idle keep-alive connections cost zero
-//! timer work. [`NetConfig::threaded`] switches back to the legacy
-//! thread-per-connection engine (also the non-Linux fallback); both
-//! speak bit-identical wire bytes.
+//! timer work. The crate builds on Linux only.
 //!
 //! ## Endpoints
 //!
 //! | Route | Meaning |
 //! |---|---|
-//! | `POST /v1/matmul` | Submit a [`MatmulWire`] request; blocks for the reply |
+//! | `POST /v1/matmul` | Submit a [`MatmulWire`] request; answered once it is served |
 //! | `GET /metrics` | Prometheus exposition of the runtime + front-end frame |
 //! | `GET /metrics/history` | JSON ring of ~1 s frame deltas (the windowed time-series) |
 //! | `GET /v1/traces` | Summaries of recently sampled request traces |
@@ -65,49 +64,27 @@
 //!
 //! [`NetServer::shutdown`] stops accepting, lets every connection
 //! finish the request it already read, joins all threads, then drains
-//! the runtime — zero accepted requests are lost and the exporter (if
+//! the backend — zero accepted requests are lost and the exporter (if
 //! running) emits a final frame.
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("pic-net serves through epoll and eventfd: it builds on Linux only");
+
 pub mod backend;
+mod client;
 pub mod fair;
 pub mod http;
+mod reactor;
 mod server;
+pub mod sys;
 pub mod wheel;
 pub mod wire;
-
-#[cfg(target_os = "linux")]
-pub mod sys;
-
-#[cfg(target_os = "linux")]
-mod reactor;
-
-/// Stub for targets without epoll: [`NetServer`] always falls back to
-/// the thread-per-connection engine, so the reactor is never spawned.
-#[cfg(not(target_os = "linux"))]
-mod reactor {
-    pub(crate) struct ReactorHandle;
-
-    impl ReactorHandle {
-        pub(crate) fn shutdown(self) {}
-    }
-
-    pub(crate) fn spawn<B: crate::backend::ServeBackend>(
-        _config: &crate::server::NetConfig,
-        _listener: std::net::TcpListener,
-        _shared: std::sync::Arc<crate::server::Shared<B>>,
-    ) -> std::io::Result<ReactorHandle> {
-        unreachable!("the reactor engine is Linux-only")
-    }
-}
-
-mod client;
 
 pub use backend::{ServeBackend, ServeError, ServeOutcome, Submitted};
 pub use client::{NetClient, NetError, RetryPolicy};
 pub use fair::{ClientStanding, FairAdmission, FairnessConfig, Shed};
 pub use server::{NetConfig, NetServer, NetStats};
-#[cfg(target_os = "linux")]
 pub use sys::raise_nofile_limit;
 pub use wire::{error_status, ErrorReply, MatmulReply, MatmulWire};

@@ -4,12 +4,13 @@
 //!
 //! ## Topology
 //!
-//! Each reactor thread owns one epoll instance, one eventfd-woken
-//! [`ReactorQueue`], and a private connection table. Reactor 0
-//! additionally owns the listener: it accepts, applies the connection
-//! cap, and deals accepted sockets round-robin — remote reactors get
-//! theirs through the queue's inbox plus an eventfd kick. A connection
-//! never migrates, so its state needs no lock.
+//! The reactors are the front-end's only threads besides the metrics
+//! series ticker. Each reactor thread owns one epoll instance, one
+//! eventfd-woken [`ReactorQueue`], and a private connection table.
+//! Reactor 0 additionally owns the listener: it accepts, applies the
+//! connection cap, and deals accepted sockets round-robin — remote
+//! reactors get theirs through the queue's inbox plus an eventfd kick.
+//! A connection never migrates, so its state needs no lock.
 //!
 //! ## Per-connection state machine
 //!
@@ -17,20 +18,19 @@
 //!
 //! Reads feed an incremental [`RequestParser`]; a parsed matmul is
 //! submitted to the backend *without blocking* via
-//! [`ServeBackend::submit`] — the runtime backend registers a
-//! [`CompletionWaker`] that pushes the request's token onto this
-//! reactor's queue when the response settles, and backends with only a
-//! blocking path (the cluster coordinator) hand the request back for
-//! the shared bounded [`OffloadPool`]. Either way the reactor thread
-//! itself never parks on a response. Responses serialise into a
-//! per-connection buffer drained under `EPOLLOUT`, so a slow reader
-//! stalls only itself.
+//! [`ServeBackend::submit`], with this reactor's queue as the
+//! [`CompletionWaker`]. Each wake pushes the request's token onto the
+//! queue, and the reactor hands the connection's in-flight state to
+//! [`ServeBackend::poll`], which either settles the request or re-arms
+//! the waker (a cluster shard retry). The reactor thread never parks on
+//! a response. Responses serialise into a per-connection buffer drained
+//! under `EPOLLOUT`, so a slow reader stalls only itself.
 //!
 //! Mid-request stalls are reclaimed by a [`TimerWheel`] armed only
 //! while request bytes are pending — idle keep-alive connections cost
 //! zero timer work and are never timed out.
 
-use crate::backend::{ServeBackend, ServeError, ServeOutcome, Submitted};
+use crate::backend::{ServeBackend, Submitted};
 use crate::http::{HttpResponse, Parse, RequestParser};
 use crate::server::{
     finish_matmul, malformed_reply, refuse_connection, route_begin, JobMeta, MatmulJob, NetConfig,
@@ -38,13 +38,13 @@ use crate::server::{
 };
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::wheel::{TimerKey, TimerWheel};
-use pic_runtime::{CompletionWaker, ResponseHandle};
+use pic_runtime::CompletionWaker;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Epoll cookie of the reactor's own queue eventfd.
@@ -60,22 +60,12 @@ const EVENT_BATCH: usize = 256;
 /// even if every wake signal were lost.
 const MAX_WAIT_MS: i32 = 500;
 
-/// One settled (or runtime-settled) submission, keyed by its token.
-struct Completion {
-    token: u64,
-    /// `Some` when an offload worker carried the blocking call and
-    /// already holds the outcome; `None` when the runtime's waker
-    /// fired and the outcome sits in the connection's
-    /// [`ResponseHandle`].
-    result: Option<Result<ServeOutcome, ServeError>>,
-}
-
-/// A reactor's cross-thread mailbox: completions from wakers/offload
-/// workers and accepted sockets from reactor 0, both flushed by one
-/// eventfd kick.
+/// A reactor's cross-thread mailbox: woken tokens from backend wakers
+/// and accepted sockets from reactor 0, both flushed by one eventfd
+/// kick.
 pub(crate) struct ReactorQueue {
     efd: EventFd,
-    completions: Mutex<Vec<Completion>>,
+    woken: Mutex<Vec<u64>>,
     inbox: Mutex<Vec<TcpStream>>,
 }
 
@@ -83,17 +73,9 @@ impl ReactorQueue {
     fn new() -> io::Result<Arc<ReactorQueue>> {
         Ok(Arc::new(ReactorQueue {
             efd: EventFd::new()?,
-            completions: Mutex::new(Vec::new()),
+            woken: Mutex::new(Vec::new()),
             inbox: Mutex::new(Vec::new()),
         }))
-    }
-
-    fn push_completion(&self, token: u64, result: Option<Result<ServeOutcome, ServeError>>) {
-        self.completions
-            .lock()
-            .expect("completion lock")
-            .push(Completion { token, result });
-        self.efd.signal();
     }
 
     fn push_conn(&self, stream: TcpStream) {
@@ -106,85 +88,18 @@ impl ReactorQueue {
         self.efd.signal();
     }
 
-    fn take_all(&self) -> (Vec<Completion>, Vec<TcpStream>) {
+    fn take_all(&self) -> (Vec<u64>, Vec<TcpStream>) {
         self.efd.drain();
-        let completions = std::mem::take(&mut *self.completions.lock().expect("completion lock"));
+        let woken = std::mem::take(&mut *self.woken.lock().expect("wake lock"));
         let inbox = std::mem::take(&mut *self.inbox.lock().expect("inbox lock"));
-        (completions, inbox)
+        (woken, inbox)
     }
 }
 
 impl CompletionWaker for ReactorQueue {
     fn wake(&self, token: u64) {
-        self.push_completion(token, None);
-    }
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A lazily-started, fixed-size pool for backends that only serve
-/// blocking calls ([`Submitted::Blocking`]). Never started when the
-/// backend has a non-blocking submit path — a single-`Runtime` server
-/// spawns zero offload threads.
-pub(crate) struct OffloadPool {
-    size: usize,
-    state: Mutex<OffloadState>,
-}
-
-#[derive(Default)]
-struct OffloadState {
-    sender: Option<mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl OffloadPool {
-    fn new(size: usize) -> OffloadPool {
-        OffloadPool {
-            size: size.max(1),
-            state: Mutex::new(OffloadState::default()),
-        }
-    }
-
-    /// Enqueues a job, starting the workers on first use.
-    fn run(&self, job: Job) {
-        let mut state = self.state.lock().expect("offload lock");
-        if state.sender.is_none() {
-            let (tx, rx) = mpsc::channel::<Job>();
-            let rx = Arc::new(Mutex::new(rx));
-            for i in 0..self.size {
-                let rx = Arc::clone(&rx);
-                state.workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("pic-net-offload-{i}"))
-                        .spawn(move || loop {
-                            let job = {
-                                let rx = rx.lock().expect("offload rx lock");
-                                rx.recv()
-                            };
-                            match job {
-                                Ok(job) => job(),
-                                Err(_) => return,
-                            }
-                        })
-                        .expect("spawn offload worker"),
-                );
-            }
-            state.sender = Some(tx);
-        }
-        state
-            .sender
-            .as_ref()
-            .expect("started above")
-            .send(job)
-            .expect("offload workers outlive senders");
-    }
-
-    fn shutdown(&self) {
-        let mut state = self.state.lock().expect("offload lock");
-        state.sender = None; // workers drain the queue, then recv() errors
-        for worker in state.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.woken.lock().expect("wake lock").push(token);
+        self.efd.signal();
     }
 }
 
@@ -192,13 +107,11 @@ impl OffloadPool {
 pub(crate) struct ReactorHandle {
     threads: Vec<std::thread::JoinHandle<()>>,
     queues: Vec<Arc<ReactorQueue>>,
-    offload: Arc<OffloadPool>,
 }
 
 impl ReactorHandle {
     /// Wakes every reactor (the caller has already raised the stop
-    /// flag), waits for the last connection to finish, then joins the
-    /// offload workers.
+    /// flag) and waits for the last connection to finish.
     pub(crate) fn shutdown(self) {
         for queue in &self.queues {
             queue.kick();
@@ -206,7 +119,6 @@ impl ReactorHandle {
         for thread in self.threads {
             let _ = thread.join();
         }
-        self.offload.shutdown();
     }
 }
 
@@ -222,9 +134,6 @@ pub(crate) fn spawn<B: ServeBackend>(
     for _ in 0..n {
         queues.push(ReactorQueue::new()?);
     }
-    // Sized to the admission budget: more blocking serves than the
-    // front-end will ever admit cannot run at once anyway.
-    let offload = Arc::new(OffloadPool::new(shared.fair.budget().min(16)));
     let mut listener = Some(listener);
     let mut reactors = Vec::with_capacity(n);
     for index in 0..n {
@@ -233,7 +142,6 @@ pub(crate) fn spawn<B: ServeBackend>(
             listener.take().filter(|_| index == 0),
             Arc::clone(&shared),
             &queues,
-            Arc::clone(&offload),
             config,
         )?);
     }
@@ -246,34 +154,30 @@ pub(crate) fn spawn<B: ServeBackend>(
                 .expect("spawn reactor"),
         );
     }
-    Ok(ReactorHandle {
-        threads,
-        queues,
-        offload,
-    })
+    Ok(ReactorHandle { threads, queues })
 }
 
-/// A request handed to the backend, awaiting its completion token.
-struct Pending {
+/// A request handed to the backend, awaiting its wake.
+struct InFlight<P> {
     token: u64,
     meta: JobMeta,
-    /// `Some` for waker-backed submissions (outcome read at wake);
-    /// `None` for offloaded blocking calls (outcome rides the queue).
-    handle: Option<ResponseHandle>,
+    /// The backend's in-flight state, handed to
+    /// [`ServeBackend::poll`] at each wake.
+    state: P,
     /// Close after the response (peer asked, or the drain began before
     /// the request was parsed).
     close: bool,
 }
 
 /// One multiplexed connection.
-struct Conn {
+struct Conn<P> {
     stream: TcpStream,
     parser: RequestParser,
     /// Serialised-but-unsent response bytes; `out_pos` is the flush
     /// cursor.
     out: Vec<u8>,
     out_pos: usize,
-    pending: Option<Pending>,
+    pending: Option<InFlight<P>>,
     /// Interest mask currently registered with epoll.
     interest: u32,
     /// Timer generation; bumping it lazily cancels the armed timer.
@@ -288,8 +192,8 @@ struct Conn {
     doomed: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, interest: u32) -> Conn {
+impl<P> Conn<P> {
+    fn new(stream: TcpStream, interest: u32) -> Conn<P> {
         Conn {
             stream,
             parser: RequestParser::new(),
@@ -332,8 +236,7 @@ enum Step {
     /// Done with this connection.
     Close,
     /// A response to enqueue; `(response, close after, count in reply
-    /// stats)` — malformed `400`s close without counting, matching the
-    /// threaded engine.
+    /// stats)` — malformed `400`s close without counting.
     Respond(HttpResponse, bool, bool),
     /// An admitted matmul to hand to the backend.
     Dispatch(MatmulJob, bool),
@@ -348,7 +251,7 @@ struct Reactor<B: ServeBackend> {
     /// Every reactor's queue, for reactor 0's round-robin deal.
     peers: Vec<Arc<ReactorQueue>>,
     listener: Option<TcpListener>,
-    conns: HashMap<i32, Conn>,
+    conns: HashMap<i32, Conn<B::Pending>>,
     /// In-flight token → owning fd.
     tokens: HashMap<u64, i32>,
     next_token: u64,
@@ -362,7 +265,6 @@ struct Reactor<B: ServeBackend> {
     /// live connection.
     gen_seq: u64,
     wheel: TimerWheel,
-    offload: Arc<OffloadPool>,
     read_timeout: Duration,
     max_connections: usize,
     rr: usize,
@@ -375,7 +277,6 @@ impl<B: ServeBackend> Reactor<B> {
         listener: Option<TcpListener>,
         shared: Arc<Shared<B>>,
         queues: &[Arc<ReactorQueue>],
-        offload: Arc<OffloadPool>,
         config: &NetConfig,
     ) -> io::Result<Reactor<B>> {
         let epoll = Epoll::new()?;
@@ -398,7 +299,6 @@ impl<B: ServeBackend> Reactor<B> {
             next_token: index as u64,
             gen_seq: 0,
             wheel: TimerWheel::new(64, granularity),
-            offload,
             read_timeout: config.read_timeout,
             max_connections: config.max_connections.max(1),
             rr: 0,
@@ -440,9 +340,9 @@ impl<B: ServeBackend> Reactor<B> {
     // -- cross-thread mailbox ------------------------------------------
 
     fn on_wake(&mut self) {
-        let (completions, accepted) = self.queue.take_all();
-        for completion in completions {
-            self.complete(completion);
+        let (woken, accepted) = self.queue.take_all();
+        for token in woken {
+            self.complete(token);
         }
         for stream in accepted {
             self.register_conn(stream);
@@ -661,63 +561,57 @@ impl<B: ServeBackend> Reactor<B> {
                 self.enqueue_response(fd, response, close, true);
                 true
             }
-            Submitted::Pending(handle) => {
+            Submitted::Pending(state) => {
                 self.tokens.insert(token, fd);
                 if let Some(conn) = self.conns.get_mut(&fd) {
-                    conn.pending = Some(Pending {
+                    conn.pending = Some(InFlight {
                         token,
                         meta,
-                        handle: Some(handle),
+                        state,
                         close,
                     });
                 }
-                false
-            }
-            Submitted::Blocking(request) => {
-                self.tokens.insert(token, fd);
-                if let Some(conn) = self.conns.get_mut(&fd) {
-                    conn.pending = Some(Pending {
-                        token,
-                        meta,
-                        handle: None,
-                        close,
-                    });
-                }
-                let shared = Arc::clone(&self.shared);
-                let queue = Arc::clone(&self.queue);
-                self.offload.run(Box::new(move || {
-                    let result = shared.backend.serve(request);
-                    queue.push_completion(token, Some(result));
-                }));
                 false
             }
         }
     }
 
-    /// Resolves a completion back to its connection and finishes the
-    /// request. Stale tokens (connection long gone) are ignored.
-    fn complete(&mut self, completion: Completion) {
-        let Some(fd) = self.tokens.remove(&completion.token) else {
+    /// Hands a woken token's in-flight state to the backend and, once
+    /// it settles, finishes the request. Stale tokens (connection long
+    /// gone) are ignored.
+    fn complete(&mut self, token: u64) {
+        let Some(fd) = self.tokens.remove(&token) else {
             return;
         };
         let Some(conn) = self.conns.get_mut(&fd) else {
             return;
         };
-        let Some(pending) = conn.pending.take() else {
+        let Some(InFlight {
+            token,
+            meta,
+            state,
+            close,
+        }) = conn.pending.take()
+        else {
             return;
         };
-        let result = match completion.result {
-            Some(result) => result,
-            None => match pending.handle.as_ref().and_then(ResponseHandle::try_wait) {
-                Some(result) => result.map(ServeOutcome::from).map_err(ServeError::from),
-                // The waker fires only after the response channel
-                // settled; an empty handle here is a lost worker.
-                None => Err(ServeError::from(pic_runtime::RuntimeError::WorkerLost)),
-            },
+        let result = match self.shared.backend.poll(state) {
+            Submitted::Ready(result) => result,
+            Submitted::Pending(state) => {
+                // Re-armed: the same token wakes once more.
+                conn.pending = Some(InFlight {
+                    token,
+                    meta,
+                    state,
+                    close,
+                });
+                self.tokens.insert(token, fd);
+                return;
+            }
         };
         let doomed = conn.doomed;
-        let close = pending.close || self.shared.draining();
-        let response = finish_matmul(&self.shared, &pending.meta, result);
+        let close = close || self.shared.draining();
+        let response = finish_matmul(&self.shared, &meta, result);
         if doomed {
             // Accounting done; the transport died while the backend
             // worked, so the response has nowhere to go.
@@ -846,11 +740,7 @@ impl<B: ServeBackend> Reactor<B> {
                 .is_some_and(|c| c.timer_armed && c.generation == key.generation && !c.doomed);
             if live {
                 // Mid-request stall past the read timeout: reclaim,
-                // silently, exactly like the threaded engine's
-                // mid-request socket timeout.
-                if std::env::var_os("PIC_NET_DEBUG").is_some() {
-                    eprintln!("[reactor {}] timer close fd {}", self.index, key.fd);
-                }
+                // silently.
                 self.close_conn(key.fd);
             }
         }

@@ -1,17 +1,13 @@
-//! The network front-end: request routing, weighted-fair admission,
-//! and the two transport engines that drive it — the default epoll
-//! *reactor* (a fixed pool of event-loop threads multiplexing every
-//! connection, see [`crate::reactor`]) and the legacy
-//! thread-per-connection path kept behind [`NetConfig::threaded`] as
-//! an escape hatch.
+//! The network front-end: request routing and weighted-fair admission,
+//! driven by the epoll reactor (a fixed pool of event-loop threads
+//! multiplexing every connection, see [`crate::reactor`]).
 //!
 //! ## Lifecycle
 //!
 //! [`NetServer::start`] binds, sets the listener non-blocking, and
-//! spawns the transport engine. Under the reactor the listener lives
-//! inside reactor 0's event loop; under the threaded engine a
-//! dedicated acceptor spawns one thread per connection with a socket
-//! read timeout as its poll quantum.
+//! spawns the reactor pool, whose reactor 0 owns the listener; only
+//! then does it spawn the metrics series ticker, so a start that fails
+//! leaves no thread behind and drops the backend.
 //!
 //! ## Graceful drain
 //!
@@ -20,21 +16,20 @@
 //! 1. the stop flag raises (reactors are woken through their
 //!    eventfds) — accepting stops, idle connections close;
 //! 2. connections that already *read* (or partially read) a request
-//!    finish receiving and serving it — the runtime still accepts
+//!    finish receiving and serving it — the backend still accepts
 //!    submissions — and then close;
-//! 3. every transport thread joins (reactors exit once their last
-//!    connection closes), then the bounded offload pool joins;
+//! 3. every reactor thread joins (a reactor exits once its last
+//!    connection closes), then the series ticker;
 //! 4. only now does the backend drain and join, flushing everything it
 //!    accepted; its exporter (if any) emits one final frame.
 
 use crate::backend::ServeBackend;
 use crate::fair::{ClientStanding, FairAdmission, FairnessConfig, Shed};
-use crate::http::{read_request, HttpRequest, HttpResponse, RecvError};
+use crate::http::{HttpRequest, HttpResponse};
 use crate::wire::{ErrorReply, MatmulReply, MatmulWire};
 use pic_obs::EventKind;
 use pic_runtime::{AtomicF64, LatencyHistogram, MatmulRequest, Runtime, TiledMatrix};
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,25 +54,15 @@ pub struct NetConfig {
     /// Mid-request stall budget: how long a connection may sit on a
     /// *partially received* request before it is reclaimed. Idle
     /// keep-alive connections (no request bytes pending) are never
-    /// timed out. Under the threaded engine this doubles as the socket
-    /// read timeout — the idle-poll quantum bounding drain latency.
+    /// timed out.
     pub read_timeout: Duration,
     /// Prometheus metric-name prefix served by `GET /metrics`.
     pub prefix: String,
     /// Reactor threads multiplexing the connections; `0` picks the
-    /// available parallelism (≈ cores). Ignored under
-    /// [`NetConfig::threaded`].
+    /// available parallelism (≈ cores).
     pub reactors: usize,
-    /// Escape hatch: serve with the legacy thread-per-connection
-    /// engine instead of the epoll reactor. Also the fallback on
-    /// non-Linux targets, where there is no epoll.
-    pub threaded: bool,
-    /// Exemplar-capture threshold: a served matmul whose end-to-end
-    /// front-end latency exceeds this records a
-    /// [`EventKind::SlowRequest`] into the backend's flight recorder,
-    /// linking the slow request to its surrounding recorder window.
-    /// It also arms slow-outlier trace capture: every request above it
-    /// keeps its span tree even when not head-sampled.
+    /// Slow-outlier trace capture: every request slower than this end
+    /// to end keeps its span tree even when not head-sampled.
     pub slow_request: Option<Duration>,
     /// Head-sample one in this many matmuls into the trace ring
     /// (`0` disables head sampling; slow-outlier capture stays armed
@@ -110,7 +95,6 @@ impl Default for NetConfig {
             read_timeout: Duration::from_millis(25),
             prefix: "pic".to_owned(),
             reactors: 0,
-            threaded: false,
             slow_request: None,
             trace_sample: 64,
             trace_capacity: 256,
@@ -202,7 +186,7 @@ impl ModelStat {
     }
 }
 
-/// State shared by the transport engine, the router, and the handle.
+/// State shared by the reactors, the router, and the handle.
 pub(crate) struct Shared<B> {
     pub(crate) backend: B,
     pub(crate) models: HashMap<String, Arc<TiledMatrix>>,
@@ -236,7 +220,6 @@ impl<B: ServeBackend> Shared<B> {
 /// backend back).
 pub struct NetServer<B: ServeBackend = Runtime> {
     shared: Option<Arc<Shared<B>>>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
     reactor: Option<crate::reactor::ReactorHandle>,
     series: Option<std::thread::JoinHandle<()>>,
     addr: SocketAddr,
@@ -252,14 +235,13 @@ impl<B: ServeBackend> std::fmt::Debug for NetServer<B> {
 }
 
 impl<B: ServeBackend> NetServer<B> {
-    /// Binds and starts serving `models` over `backend` — multiplexed
-    /// on the epoll reactor pool by default, thread-per-connection
-    /// when [`NetConfig::threaded`] asks for it.
+    /// Binds and starts serving `models` over `backend`, multiplexed
+    /// on the epoll reactor pool.
     ///
     /// # Errors
     ///
     /// Propagates bind/configure failures from the listener and the
-    /// reactor's epoll/eventfd setup.
+    /// reactor's epoll/eventfd setup; the backend is dropped.
     pub fn start(
         config: NetConfig,
         backend: B,
@@ -291,9 +273,11 @@ impl<B: ServeBackend> NetServer<B> {
             slo_error_budget: config.slo_error_budget,
             model_stats,
         });
+        let reactor = crate::reactor::spawn(&config, listener, Arc::clone(&shared))?;
         // The series ticker folds a metrics frame into the windowed
         // store about once a second. Under `obs-off` the store is a
-        // no-op, so the thread is not spawned at all.
+        // no-op, so the thread is not spawned at all. It starts after
+        // the reactors: had they failed, it would hold the backend.
         let series = pic_obs::enabled().then(|| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -301,26 +285,9 @@ impl<B: ServeBackend> NetServer<B> {
                 .spawn(move || series_loop(&shared))
                 .expect("spawn series ticker")
         });
-        let threaded = config.threaded || !cfg!(target_os = "linux");
-        let (acceptor, reactor) = if threaded {
-            let acceptor = {
-                let shared = Arc::clone(&shared);
-                let read_timeout = config.read_timeout;
-                let max_connections = config.max_connections.max(1);
-                std::thread::Builder::new()
-                    .name("pic-net-acceptor".to_owned())
-                    .spawn(move || acceptor_loop(&listener, &shared, read_timeout, max_connections))
-                    .expect("spawn acceptor")
-            };
-            (Some(acceptor), None)
-        } else {
-            let handle = crate::reactor::spawn(&config, listener, Arc::clone(&shared))?;
-            (None, Some(handle))
-        };
         Ok(NetServer {
             shared: Some(shared),
-            acceptor,
-            reactor,
+            reactor: Some(reactor),
             series,
             addr,
         })
@@ -352,7 +319,7 @@ impl<B: ServeBackend> NetServer<B> {
     ///
     /// # Panics
     ///
-    /// Panics if a transport thread leaked a reference past its join —
+    /// Panics if a reactor thread leaked a reference past its join —
     /// a bug, not an operational condition.
     #[must_use]
     pub fn shutdown(mut self) -> B {
@@ -362,20 +329,17 @@ impl<B: ServeBackend> NetServer<B> {
     fn shutdown_inner(&mut self) -> Option<B> {
         let shared = self.shared.take()?;
         shared.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.join().expect("acceptor exits cleanly");
-        }
         if let Some(reactor) = self.reactor.take() {
             reactor.shutdown();
         }
         if let Some(series) = self.series.take() {
             series.join().expect("series ticker exits cleanly");
         }
-        // The transport joined every thread holding a reference, so
-        // this Arc is the last one and the backend comes back out.
+        // Every thread holding a reference has joined, so this Arc is
+        // the last one and the backend comes back out.
         let mut shared = Arc::try_unwrap(shared)
             .ok()
-            .expect("all transport threads joined at shutdown");
+            .expect("all reactor threads joined at shutdown");
         shared.backend.shutdown();
         Some(shared.backend)
     }
@@ -405,51 +369,8 @@ fn series_loop<B: ServeBackend>(shared: &Arc<Shared<B>>) {
     shared.series.push(metrics_frame(shared));
 }
 
-// ---------------------------------------------------------------------
-// Thread-per-connection engine (the `--threaded` escape hatch).
-// ---------------------------------------------------------------------
-
-fn acceptor_loop<B: ServeBackend>(
-    listener: &TcpListener,
-    shared: &Arc<Shared<B>>,
-    read_timeout: Duration,
-    max_connections: usize,
-) {
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                conns.retain(|h| !h.is_finished());
-                if conns.len() >= max_connections {
-                    refuse_connection(shared, &mut stream, conns.len(), max_connections);
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(read_timeout));
-                shared.stats.connection_opened();
-                let shared = Arc::clone(shared);
-                conns.push(
-                    std::thread::Builder::new()
-                        .name("pic-net-conn".to_owned())
-                        .spawn(move || {
-                            connection_loop(stream, &shared);
-                            shared.stats.connection_closed();
-                        })
-                        .expect("spawn connection thread"),
-                );
-            }
-            // WouldBlock is the poll tick; transient accept errors
-            // (peer reset mid-handshake) back off the same way.
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    for conn in conns {
-        let _ = conn.join();
-    }
-}
-
 /// Writes the typed `503 connection_limit` refusal onto a just-accepted
-/// socket (shared by both engines).
+/// socket.
 pub(crate) fn refuse_connection<B: ServeBackend>(
     shared: &Shared<B>,
     stream: &mut TcpStream,
@@ -470,61 +391,6 @@ pub(crate) fn refuse_connection<B: ServeBackend>(
         .write_to(stream);
 }
 
-fn connection_loop<B: ServeBackend>(stream: TcpStream, shared: &Shared<B>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        match read_request(&mut reader) {
-            Err(RecvError::Idle) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(RecvError::Closed | RecvError::Io(_)) => return,
-            Err(RecvError::Malformed(why)) => {
-                let _ = malformed_reply(why).write_to(&mut writer);
-                return;
-            }
-            Ok(req) => {
-                shared.stats.http_requests.fetch_add(1, Ordering::Relaxed);
-                let response = match route_begin(shared, &req) {
-                    Routed::Done(response) => response,
-                    Routed::Matmul(job) => {
-                        let (meta, request) = (job.meta, job.request);
-                        let result = shared.backend.serve(request);
-                        finish_matmul(shared, &meta, result)
-                    }
-                };
-                if response.status < 400 {
-                    shared.stats.replies_ok.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    shared.stats.replies_error.fetch_add(1, Ordering::Relaxed);
-                }
-                // A request read before the drain flag raised is still
-                // served in full — the flag only closes the connection
-                // after this response is on the wire.
-                let draining = shared.stop.load(Ordering::Acquire);
-                let close = req.wants_close() || draining;
-                let response = if close {
-                    response.with_header("connection", "close")
-                } else {
-                    response
-                };
-                if response.write_to(&mut writer).is_err() || close {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Routing, shared by both engines.
-// ---------------------------------------------------------------------
-
 /// The `400` a framing failure answers with before the close.
 pub(crate) fn malformed_reply(why: String) -> HttpResponse {
     let body = serde_json::to_string(&ErrorReply {
@@ -540,15 +406,12 @@ pub(crate) fn malformed_reply(why: String) -> HttpResponse {
 pub(crate) struct JobMeta {
     pub(crate) client: String,
     pub(crate) model: String,
-    pub(crate) matrix_id: u64,
     /// When the request was parsed off the wire.
     pub(crate) received: Instant,
     /// When fair admission accepted it (end of the admit stage).
     pub(crate) admitted: Instant,
     /// The sampled request's trace collector (`None` for the unsampled
-    /// common case). Carried opaquely by both engines so
-    /// [`finish_matmul`] can seal the trace on whichever thread learns
-    /// the outcome.
+    /// common case), sealed by [`finish_matmul`].
     pub(crate) trace: Option<Arc<pic_obs::TraceCollector>>,
 }
 
@@ -560,9 +423,8 @@ pub(crate) struct MatmulJob {
 
 /// The front half of request handling: routing, parsing, fair
 /// admission. Everything except the backend call resolves here
-/// synchronously; an admitted matmul comes back as a job so each
-/// engine can run the backend its own way (blocking call, waker
-/// submission, offload pool).
+/// synchronously; an admitted matmul comes back as a job for the
+/// reactor to submit to the backend.
 pub(crate) enum Routed {
     Done(HttpResponse),
     Matmul(MatmulJob),
@@ -701,7 +563,6 @@ fn matmul_begin<B: ServeBackend>(shared: &Shared<B>, req: &HttpRequest) -> Route
     Routed::Matmul(MatmulJob {
         meta: JobMeta {
             client,
-            matrix_id: matrix.id(),
             model: wire.model,
             received,
             admitted,
@@ -712,10 +573,8 @@ fn matmul_begin<B: ServeBackend>(shared: &Shared<B>, req: &HttpRequest) -> Route
 }
 
 /// The back half: releases fair admission, rolls the outcome into the
-/// per-model stage breakdowns, captures a slow-request exemplar when
-/// the latency threshold is exceeded, and builds the wire reply.
-/// Called exactly once per [`MatmulJob`], on whichever thread learned
-/// the outcome.
+/// per-model stage breakdowns, seals the request's trace, and builds
+/// the wire reply. Called exactly once per [`MatmulJob`].
 pub(crate) fn finish_matmul<B: ServeBackend>(
     shared: &Shared<B>,
     meta: &JobMeta,
@@ -739,15 +598,6 @@ pub(crate) fn finish_matmul<B: ServeBackend>(
             stat.energy_j.add(outcome.energy_j);
         } else {
             stat.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    if let Some(threshold) = shared.slow_request {
-        if latency > threshold {
-            shared.backend.record_event(
-                EventKind::SlowRequest,
-                meta.matrix_id,
-                latency.as_nanos() as u64,
-            );
         }
     }
     if let Some(collector) = &meta.trace {

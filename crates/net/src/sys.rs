@@ -4,8 +4,7 @@
 //!
 //! Everything here is a thin `std::io::Result` wrapper over the
 //! syscall wrappers libc already exports; no allocation, no state.
-//! The reactor is Linux-only (`epoll` is); on other targets
-//! `NetServer` falls back to the thread-per-connection path.
+//! `epoll` is Linux-only, and so is this crate.
 
 #![allow(unsafe_code)]
 

@@ -405,11 +405,10 @@ fn reactor_multiplexes_many_connections_on_a_fixed_pool() {
     );
 }
 
-/// Drain contract, engine-agnostic: shared by the reactor (default)
-/// and thread-per-connection variants below.
-fn drain_loses_zero_accepted_requests(config: NetConfig) {
+#[test]
+fn graceful_drain_loses_zero_accepted_requests() {
     const CLIENTS: usize = 8;
-    let (server, addr, models) = start(config);
+    let (server, addr, models) = start(NetConfig::default());
     let oks = AtomicU64::new(0);
     let rejected = AtomicU64::new(0);
     let severed = AtomicU64::new(0);
@@ -475,19 +474,6 @@ fn drain_loses_zero_accepted_requests(config: NetConfig) {
         s.submitted, s.completed,
         "drain flushed everything accepted"
     );
-}
-
-#[test]
-fn graceful_drain_loses_zero_accepted_requests() {
-    drain_loses_zero_accepted_requests(NetConfig::default());
-}
-
-#[test]
-fn graceful_drain_loses_zero_on_the_threaded_engine() {
-    drain_loses_zero_accepted_requests(NetConfig {
-        threaded: true,
-        ..NetConfig::default()
-    });
 }
 
 #[test]

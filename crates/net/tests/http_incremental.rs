@@ -2,8 +2,8 @@
 //! reader — the framing contract the epoll reactor rests on.
 //!
 //! The reactor feeds [`RequestParser`] whatever segments the kernel
-//! delivers; the threaded engine pulls the same bytes through
-//! [`read_request`]. These properties pin that for any complete byte
+//! delivers; the blocking reference reader pulls the same bytes
+//! through [`read_request`]. These properties pin that for any complete byte
 //! stream — pipelined keep-alive requests, any header/body shape the
 //! server speaks, malformed frames — both paths produce identical
 //! request sequences and identical malformed classifications,

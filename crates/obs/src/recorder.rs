@@ -56,10 +56,6 @@ pub enum EventKind {
     /// new placement: `a` = parent matrix id, `b` = the node retried
     /// against.
     ShardRetry = 11,
-    /// A served request exceeded the front-end's slow-request
-    /// threshold (an exemplar for trace capture): `a` = matrix id,
-    /// `b` = end-to-end latency in nanoseconds.
-    SlowRequest = 12,
 }
 
 impl EventKind {
@@ -78,7 +74,6 @@ impl EventKind {
             EventKind::NodeLost => "node_lost",
             EventKind::Reshard => "reshard",
             EventKind::ShardRetry => "shard_retry",
-            EventKind::SlowRequest => "slow_request",
         }
     }
 
@@ -95,7 +90,6 @@ impl EventKind {
             9 => EventKind::NodeLost,
             10 => EventKind::Reshard,
             11 => EventKind::ShardRetry,
-            12 => EventKind::SlowRequest,
             _ => return None,
         })
     }
@@ -418,7 +412,7 @@ mod tests {
 
     #[test]
     fn event_kind_labels_round_trip() {
-        for code in 1..=12u64 {
+        for code in 1..=11u64 {
             let kind = EventKind::from_code(code).expect("valid code");
             assert_eq!(kind as u64, code);
             assert!(!kind.label().is_empty());
