@@ -1,9 +1,11 @@
 //! End-to-end tensor core throughput: weight loads, matvec, matmul at the
-//! paper's 16×16 scale.
+//! paper's 16×16 scale, the flat serving kernel (plain and traced) at
+//! 4×4 and 16×16, and the eoADC digitise pass on its own.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use pic_tensor::{TensorCore, TensorCoreConfig};
+use pic_tensor::{FlatBatch, FlatCodes, TensorCore, TensorCoreConfig};
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn paper_core() -> TensorCore {
     let mut core = TensorCore::new(TensorCoreConfig::paper());
@@ -57,6 +59,35 @@ fn bench_tensor_core(c: &mut Criterion) {
     serial.set_parallel(false);
     c.bench_function("tensor/matmul_16x16_batch16_serial", |b| {
         b.iter(|| serial.matmul(black_box(&batch)))
+    });
+
+    // The allocation-free serving kernel over a reused flat batch, then
+    // the same call with a span collector installed: the two-phase
+    // traced kernel that instrumented serving threads run.
+    for (label, engine) in [("4x4", &small), ("16x16", &core)] {
+        let n = engine.config().cols;
+        let rows: Vec<Vec<f64>> = (0..32)
+            .map(|k| (0..n).map(|i| ((i + k) % n) as f64 / n as f64).collect())
+            .collect();
+        let mut inputs = FlatBatch::new();
+        inputs.fill_from_rows(&rows, n);
+        let mut out = FlatCodes::new();
+        c.bench_function(&format!("tensor/matmul_into_{label}_batch32"), |b| {
+            b.iter(|| engine.matmul_into(black_box(inputs.view()), &mut out))
+        });
+        pic_obs::install_collector(Some(Arc::new(pic_obs::StageStats::new())));
+        c.bench_function(&format!("tensor/matmul_into_traced_{label}_batch32"), |b| {
+            b.iter(|| engine.matmul_into(black_box(inputs.view()), &mut out))
+        });
+        pic_obs::install_collector(None);
+    }
+
+    // Digitise only: a sweep of read-outs past full scale (so the gain
+    // clamp runs) through the eoADC's LUT walk, no analog phase.
+    let ys: Vec<f64> = (0..4096).map(|i| f64::from(i) / 4096.0 * 1.2).collect();
+    let mut codes = vec![0u16; ys.len()];
+    c.bench_function("tensor/digitize_slice_4096", |b| {
+        b.iter(|| core.digitize_slice(black_box(&ys), &mut codes))
     });
 
     let w: Vec<Vec<u32>> = (0..16)

@@ -1,9 +1,13 @@
 //! Cluster end-to-end guarantees: the reduce layer is bit-identical to
 //! single-node serving (including under an induced node failure with
 //! retry), failure re-sharding re-places work on survivors, the
-//! roll-up frame reports the fleet, and the coordinator serves through
-//! the `pic-net` reactor — over the wire, and through the
-//! `ServeBackend` submit/poll path the reactor drives.
+//! roll-up frame reports the fleet, modeled throughput scales with the
+//! node count, and the coordinator serves through the `pic-net`
+//! reactor — over the wire, and through the `ServeBackend`
+//! submit/poll path the reactor drives.
+
+#[path = "../../runtime/tests/support/mod.rs"]
+mod support;
 
 use pic_cluster::{ClusterConfig, ClusterError, ClusterPending, Coordinator};
 use pic_net::{MatmulWire, NetClient, NetConfig, NetError, NetServer, ServeBackend, Submitted};
@@ -69,6 +73,13 @@ fn inputs(samples: usize, inp: usize, seed: u64) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
+}
+
+/// A request sent straight to a victim node to wedge its only worker
+/// (see `support::WedgedWorker`), so the shard calls sent after it
+/// queue and a kill strands them.
+fn holder() -> MatmulRequest {
+    MatmulRequest::new(matrix(4, 4, 999), inputs(1, 4, 0))
 }
 
 /// Runs the same request stream through a cluster and a single node
@@ -183,9 +194,10 @@ fn node_loss_mid_batch_retries_exactly_once_against_new_placement() {
     assert_eq!(placement[0].len(), 1);
     let victim = placement[0][0];
 
-    // Build a backlog of in-flight requests on the victim, then crash
-    // it: the undispatched tail surfaces WorkerLost and must retry —
-    // exactly once each — against the re-placed shard.
+    // Wedge the victim's only worker, queue a backlog behind it, then
+    // crash the node: the undispatched tail surfaces WorkerLost and
+    // must retry — exactly once each — against the re-placed shard.
+    let wedged = support::WedgedWorker::hold(coordinator.node(victim), holder());
     let handles: Vec<_> = (0..64)
         .map(|i| {
             coordinator
@@ -194,6 +206,7 @@ fn node_loss_mid_batch_retries_exactly_once_against_new_placement() {
         })
         .collect();
     coordinator.node(victim).kill();
+    drop(wedged);
 
     let mut retried_total = 0usize;
     let solo = single_node();
@@ -254,6 +267,7 @@ fn bit_identity_holds_under_an_induced_failure_on_a_sharded_matrix() {
         .expect("warm pass");
     assert_eq!(warm.shards, 3);
     let victim = coordinator.placement(m.id())[0][0];
+    let wedged = support::WedgedWorker::hold(coordinator.node(victim), holder());
     let handles: Vec<_> = (0..48)
         .map(|i| {
             coordinator
@@ -262,6 +276,7 @@ fn bit_identity_holds_under_an_induced_failure_on_a_sharded_matrix() {
         })
         .collect();
     coordinator.node(victim).kill();
+    drop(wedged);
 
     let solo = single_node();
     let mut retried_total = 0usize;
@@ -478,6 +493,90 @@ fn live_thread_names() -> Vec<String> {
         .collect()
 }
 
+/// Over the wire, after one request from a probe: the reply is
+/// bit-identical, `/metrics` parses with every sample finite and the
+/// cluster roll-up gauges beside the front-end counters, and the
+/// request's stored trace carries the coordinator fan-out with
+/// per-shard spans naming nodes of the fleet. Run before any other
+/// request: the front-end head-samples its first request, and stores
+/// the trace before it writes the reply.
+fn assert_scrape_and_trace_show_the_fleet(
+    addr: std::net::SocketAddr,
+    model: &Arc<TiledMatrix>,
+    nodes: usize,
+) {
+    let mut probe = NetClient::connect(addr, "probe").expect("probe connects");
+    let ins = inputs(1, model.in_dim(), 5);
+    let reply = probe
+        .matmul(&MatmulWire {
+            model: "model-0".to_owned(),
+            inputs: ins.clone(),
+            deadline_ms: None,
+        })
+        .expect("the probe's request serves");
+    let (want, _) = TileExecutor::new(TensorCoreConfig::small_demo(), 900)
+        .execute(model, &ins)
+        .expect("replay");
+    assert_outputs_identical(&reply.outputs, &want, "the probe's request");
+    let scrape = probe.get("/metrics").expect("metrics answers");
+    assert_eq!(scrape.status, 200, "metrics serve");
+    let text = scrape.text();
+    for line in text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
+        let (_, value) = line.rsplit_once(' ').expect("prometheus `series value`");
+        let value: f64 = value.parse().expect("numeric sample");
+        assert!(value.is_finite(), "non-finite sample in {line:?}");
+    }
+    for series in [
+        "shard_balance",
+        "nodes_alive",
+        "peak_samples_per_s",
+        "cluster_completed",
+        "node1_alive",
+        "net_http_requests",
+    ] {
+        assert!(text.contains(series), "the cluster scrape carries {series}");
+    }
+    if !pic_obs::enabled() {
+        return; // obs-off: tracing compiles to no-ops by design
+    }
+    let list: serde_json::Value =
+        serde_json::from_str(&probe.get("/v1/traces").expect("traces answer").text())
+            .expect("trace summaries parse");
+    let id = list["traces"]
+        .as_array()
+        .and_then(|t| t.first())
+        .and_then(|t| t["id"].as_str())
+        .expect("the probe's request left a trace");
+    let reply = probe
+        .get(&format!("/v1/traces/{id}"))
+        .expect("trace answers");
+    assert_eq!(reply.status, 200, "stored trace {id} is retrievable");
+    let tree: serde_json::Value = serde_json::from_str(&reply.text()).expect("trace tree parses");
+    let spans = tree["spans"].as_array().expect("spans array");
+    assert!(
+        spans
+            .iter()
+            .any(|s| s["stage"].as_str() == Some("coordinator")),
+        "the trace carries a coordinator span: {tree:?}"
+    );
+    let shard_nodes: Vec<f64> = spans
+        .iter()
+        .filter(|s| s["stage"].as_str() == Some("shard"))
+        .map(|s| s["node"].as_f64().expect("shard spans carry node ids"))
+        .collect();
+    assert!(
+        !shard_nodes.is_empty(),
+        "the trace carries shard spans: {tree:?}"
+    );
+    assert!(
+        shard_nodes.iter().all(|&n| n < nodes as f64),
+        "shard node ids name the {nodes}-node fleet: {shard_nodes:?}"
+    );
+}
+
 #[test]
 fn networked_cluster_is_bit_identical_and_drains_without_loss() {
     const CLIENTS: usize = 6;
@@ -496,7 +595,9 @@ fn networked_cluster_is_bit_identical_and_drains_without_loss() {
     let server =
         NetServer::start(NetConfig::default(), coordinator, registry).expect("binds loopback");
     let addr = server.local_addr();
-    let oks = AtomicU64::new(0);
+    assert_scrape_and_trace_show_the_fleet(addr, &models[0], 3);
+    // The probe's request is one the coordinator accepted and answered.
+    let oks = AtomicU64::new(1);
     let severed = AtomicU64::new(0);
     let drained = std::thread::scope(|scope| {
         for c in 0..CLIENTS {
@@ -684,20 +785,82 @@ fn node_kill_under_submit_and_poll_retries_through_the_rearmed_waker() {
     );
 }
 
+/// The seeded twelve-model Zipf stream through `nodes` paper nodes,
+/// one request at a time, so batch formation and replica choice do not
+/// depend on how fast the host drains concurrent work. Checks that
+/// every request completes or is rejected as pre-expired and that
+/// every reply is bit-identical to a solo executor. Returns the
+/// modeled device-limited throughput: completed requests over the
+/// busiest node's device-seconds per device.
+fn modeled_throughput(
+    nodes: usize,
+    models: &[Arc<TiledMatrix>],
+    stream: &[support::StreamItem],
+) -> f64 {
+    // The serving configuration: paper nodes with a 10 ms reordering
+    // bound (with one request in flight there is nothing to reorder).
+    let mut node = RuntimeConfig::paper();
+    node.max_delay = Duration::from_millis(10);
+    let mut coordinator = Coordinator::start(ClusterConfig { nodes, node });
+    for (m, share) in models.iter().zip(support::zipf_shares()) {
+        coordinator.register(m, share);
+    }
+    let mut solo = TileExecutor::new(node.core, 900);
+    let mut completed = 0u64;
+    for (i, (which, ins, expired)) in stream.iter().enumerate() {
+        let mut request = MatmulRequest::new(Arc::clone(&models[*which]), ins.clone());
+        if *expired {
+            request = request.with_deadline(Instant::now() - Duration::from_millis(1));
+        }
+        match coordinator.submit_blocking(request) {
+            Ok(resp) => {
+                assert!(!expired, "request {i} was served past its deadline");
+                let (want, _) = solo.execute(&models[*which], ins).expect("replay");
+                assert_outputs_identical(
+                    &resp.outputs,
+                    &want,
+                    &format!("request {i} on {nodes} nodes"),
+                );
+                completed += 1;
+            }
+            Err(ClusterError::Rejected(RuntimeError::DeadlineExpired)) if *expired => {}
+            Err(e) => panic!("request {i} on {nodes} nodes: {e}"),
+        }
+    }
+    let makespan = (0..nodes)
+        .map(|n| coordinator.node(n).metrics().snapshot().device_time_s / node.devices as f64)
+        .fold(0.0, f64::max);
+    coordinator.shutdown();
+    completed as f64 / makespan
+}
+
+#[test]
+fn modeled_throughput_scales_from_one_to_two_nodes_on_the_zipf_stream() {
+    let (models, stream) = support::workload(TensorCoreConfig::paper(), 400);
+    let [one, two, four] = [1, 2, 4].map(|nodes| modeled_throughput(nodes, &models, &stream));
+    assert!(
+        two >= 1.7 * one,
+        "1 → 2 nodes scaled modeled throughput {:.2}x, under 1.7x (1 → 4: {:.2}x)",
+        two / one,
+        four / one
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The acceptance-criteria property: a 4-node cluster's outputs
-    /// equal the single-`Runtime` outputs bit-for-bit on arbitrary
-    /// matrix shapes and inputs.
+    /// The acceptance-criteria property: a 1-, 2- or 4-node cluster's
+    /// outputs equal the single-`Runtime` outputs bit-for-bit on
+    /// arbitrary matrix shapes and inputs.
     #[test]
     fn cluster_reduce_is_bit_identical_to_single_node(
         out in 1usize..14,
         inp in 1usize..14,
         samples in 1usize..4,
         seed in 0u64..1000,
+        nodes_log2 in 0u32..3,
     ) {
-        let coordinator = cluster(4);
+        let coordinator = cluster(1 << nodes_log2);
         let m = matrix(out, inp, seed);
         coordinator.register(&m, (seed % 10) as f64 / 10.0);
         let solo = single_node();

@@ -529,6 +529,27 @@ fn traces_and_history_expose_sampled_span_trees() {
     }
     assert!(body.contains("\"self_time_sum_ns\""), "{body}");
 
+    // Every stored trace is retrievable, and its span self-times
+    // telescope to its wall time within 5 %.
+    let list: serde_json::Value = serde_json::from_str(&text).expect("trace summaries parse");
+    let summaries = list["traces"].as_array().expect("traces array");
+    assert!(!summaries.is_empty(), "sampled requests store traces");
+    for summary in summaries {
+        let id = summary["id"].as_str().expect("trace id");
+        let reply = client.get(&format!("/v1/traces/{id}")).expect("answers");
+        assert_eq!(reply.status, 200, "stored trace {id} is retrievable");
+        let tree: serde_json::Value = serde_json::from_str(&reply.text()).expect("tree parses");
+        let wall_ns = tree["wall_ns"].as_f64().expect("trace wall_ns");
+        let self_sum = tree["self_time_sum_ns"]
+            .as_f64()
+            .expect("trace self_time_sum_ns");
+        assert!(
+            (wall_ns - self_sum).abs() <= wall_ns * 0.05,
+            "trace {id}: span self-times ({self_sum} ns) reconcile with wall ({wall_ns} ns) \
+             within 5%"
+        );
+    }
+
     // Unknown id -> typed 404; non-hex id -> 400.
     let missing = client.get("/v1/traces/0000000000000001").expect("answers");
     assert_eq!(missing.status, 404);

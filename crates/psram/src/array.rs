@@ -211,13 +211,6 @@ impl PsramArray {
         }
     }
 
-    /// The shared replayable write-transient cache for this array's
-    /// config (see [`WriteTransientCache`]).
-    #[must_use]
-    pub fn flip_cache(&self) -> &WriteTransientCache {
-        &self.flip_cache
-    }
-
     /// Monotone write-generation counter: incremented by every accepted
     /// write ([`PsramArray::store_matrix`],
     /// [`PsramArray::store_matrix_row_parallel`],
