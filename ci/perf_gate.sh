@@ -27,7 +27,8 @@
 # would not run the same benchmark code, so the gate skips with a note.
 set -euo pipefail
 
-readonly PAIRS=5
+# Even, so each side runs first in half of the pairs.
+readonly PAIRS=6
 readonly SEED=42
 
 base_rev=${1:?usage: ci/perf_gate.sh BASE_REV}

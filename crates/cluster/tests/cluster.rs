@@ -28,7 +28,6 @@ fn node_config(devices: usize) -> RuntimeConfig {
         devices,
         queue_depth: 256,
         max_batch: 4,
-        worker_queue_depth: 2,
         policy: AdmissionPolicyKind::ResidencyAware,
         max_delay: Duration::from_millis(100),
     }
@@ -707,16 +706,20 @@ impl RecordingWaker {
 }
 
 /// Kills the only replica of a single-shard matrix under a backlog of
-/// requests driven through `ServeBackend::submit`/`poll`, checking
-/// every invariant. Returns how many times `poll` re-armed the waker.
-fn kill_under_poll(seed: u64) -> usize {
+/// requests driven through `ServeBackend::submit`/`poll`: the victim's
+/// only worker is wedged while the backlog queues behind it, so the
+/// kill strands shard calls by construction, and each must re-arm its
+/// waker and retry exactly once.
+#[test]
+fn node_kill_under_submit_and_poll_retries_through_the_rearmed_waker() {
     const REQUESTS: usize = 64;
     let mut coordinator = cluster(3);
     // One 4×4 tile: one shard with one replica, so each stranded
     // request retries exactly one shard call.
-    let m = matrix(4, 4, seed);
+    let m = matrix(4, 4, 21);
     coordinator.register(&m, 0.0);
     let victim = coordinator.placement(m.id())[0][0];
+    let wedged = support::WedgedWorker::hold(coordinator.node(victim), holder());
     let waker = Arc::new(RecordingWaker::default());
     let mut pending: Vec<Option<ClusterPending>> = (0..REQUESTS)
         .map(|t| {
@@ -729,6 +732,7 @@ fn kill_under_poll(seed: u64) -> usize {
         })
         .collect();
     coordinator.node(victim).kill();
+    drop(wedged);
 
     let mut solo = TileExecutor::new(TensorCoreConfig::small_demo(), 900);
     let mut arms = vec![1usize; REQUESTS];
@@ -763,25 +767,13 @@ fn kill_under_poll(seed: u64) -> usize {
         assert_eq!(wakes, armed, "token {t} wakes exactly once per arm");
     }
     let re_arms = arms.iter().map(|a| a - 1).sum::<usize>();
+    assert!(re_arms >= 1, "the kill must strand at least one shard call");
     let counters = coordinator.counters();
     assert_eq!(counters.retried_shards as usize, re_arms);
     assert_eq!(counters.node_losses, u64::from(re_arms > 0));
     assert_eq!(
         (counters.submitted, counters.completed),
         (REQUESTS as u64, REQUESTS as u64)
-    );
-    re_arms
-}
-
-#[test]
-fn node_kill_under_submit_and_poll_retries_through_the_rearmed_waker() {
-    // Whether a kill strands a call depends on how far the node got
-    // through its backlog, so repeat on fresh clusters until one does.
-    const ATTEMPTS: u64 = 10;
-    let stranded = (0..ATTEMPTS).any(|attempt| kill_under_poll(21 + attempt) > 0);
-    assert!(
-        stranded,
-        "no kill in {ATTEMPTS} attempts stranded a shard call"
     );
 }
 
@@ -828,7 +820,7 @@ fn modeled_throughput(
         }
     }
     let makespan = (0..nodes)
-        .map(|n| coordinator.node(n).metrics().snapshot().device_time_s / node.devices as f64)
+        .map(|n| coordinator.node(n).metrics().device_time_s.get() / node.devices as f64)
         .fold(0.0, f64::max);
     coordinator.shutdown();
     completed as f64 / makespan

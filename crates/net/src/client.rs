@@ -129,6 +129,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// One persistent (keep-alive) connection to a [`NetServer`]
 /// (`crate::NetServer`), identified to fair admission by its client id.
+///
+/// Each request goes out as one buffer in one `write_all`. With
+/// `TCP_NODELAY` set, formatting straight into the socket would send
+/// every piece as a write of its own, and a client descheduled between
+/// pieces for longer than the server's mid-request read timeout would
+/// lose its connection.
 #[derive(Debug)]
 pub struct NetClient {
     reader: BufReader<TcpStream>,
@@ -172,12 +178,11 @@ impl NetClient {
     ///
     /// Transport failures, or `InvalidData` on a malformed reply.
     pub fn get(&mut self, path: &str) -> std::io::Result<ParsedResponse> {
-        write!(
-            self.writer,
+        let head = format!(
             "GET {path} HTTP/1.1\r\nx-client: {}\r\n\r\n",
             self.client_id
-        )?;
-        self.writer.flush()?;
+        );
+        self.writer.write_all(head.as_bytes())?;
         read_response(&mut self.reader)
     }
 
@@ -191,15 +196,14 @@ impl NetClient {
     pub fn matmul(&mut self, request: &MatmulWire) -> Result<MatmulReply, NetError> {
         let body = serde_json::to_string(request)
             .map_err(|e| NetError::Protocol(format!("request does not serialise: {e}")))?;
-        write!(
-            self.writer,
+        let mut message = format!(
             "POST /v1/matmul HTTP/1.1\r\nx-client: {}\r\ncontent-type: application/json\r\n\
              content-length: {}\r\n\r\n",
             self.client_id,
             body.len()
-        )?;
-        self.writer.write_all(body.as_bytes())?;
-        self.writer.flush()?;
+        );
+        message.push_str(&body);
+        self.writer.write_all(message.as_bytes())?;
         let response = read_response(&mut self.reader)?;
         if response.status == 200 {
             return serde_json::from_str(&response.text())

@@ -642,7 +642,7 @@ fn wire_deadline(ms: f64) -> Result<Instant, String> {
             .ok_or_else(|| format!("`deadline_ms` {ms} overflows"))
     } else {
         // An already-expired deadline: the DOA gate rejects it with the
-        // typed 504 without it ever occupying the intake queue.
+        // typed 504 without it ever occupying the runtime's queue.
         Ok(now.checked_sub(offset).unwrap_or(now))
     }
 }

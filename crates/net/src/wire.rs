@@ -24,7 +24,7 @@ pub struct MatmulWire {
     pub inputs: Vec<Vec<f64>>,
     /// Optional deadline, milliseconds from server receipt. Zero or
     /// negative means already expired (the request rejects with `504`
-    /// without touching the intake queue).
+    /// without touching the runtime's queue).
     pub deadline_ms: Option<f64>,
 }
 

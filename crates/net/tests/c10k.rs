@@ -115,8 +115,7 @@ fn a_thousand_keep_alive_connections_add_no_thread() {
     )
     .expect("binds loopback");
     let addr = server.local_addr();
-    // The dispatcher spawns the workers from its own thread, so count
-    // only after one round trip has proved the whole pool is up.
+    // Count after one round trip has proved the whole stack serves.
     let warm = NetClient::connect(addr, "warmup")
         .expect("warmup connects")
         .matmul(&MatmulWire {
@@ -127,14 +126,13 @@ fn a_thousand_keep_alive_connections_add_no_thread() {
         .expect("warmup serves");
     assert_eq!(warm.outputs.len(), 1, "warmup produced output");
     let serving = settled_threads();
-    // Reactors + device workers + the dispatcher, plus the metrics
-    // series ticker when observability is compiled in.
-    let pool = REACTORS + config.devices + 1 + usize::from(pic_obs::enabled());
+    // Reactors + device workers, plus the metrics series ticker when
+    // observability is compiled in.
+    let pool = REACTORS + config.devices + usize::from(pic_obs::enabled());
     assert_eq!(
         serving - before,
         pool,
-        "the server runs on {REACTORS} reactors + {} workers + the dispatcher (+ the series \
-         ticker with obs on)",
+        "the server runs on {REACTORS} reactors + {} workers (+ the series ticker with obs on)",
         config.devices
     );
 

@@ -21,7 +21,6 @@ fn runtime() -> Runtime {
         devices: 2,
         queue_depth: 64,
         max_batch: 4,
-        worker_queue_depth: 2,
         policy: AdmissionPolicyKind::ResidencyAware,
         max_delay: Duration::from_millis(100),
     })
@@ -113,9 +112,8 @@ fn eight_networked_clients_get_bit_identical_results() {
     assert_eq!(checked, CLIENTS * PER_CLIENT);
 
     let rt = server.shutdown();
-    let s = rt.metrics().snapshot();
     assert_eq!(
-        s.completed,
+        rt.metrics().completed.load(Ordering::Relaxed),
         (CLIENTS * PER_CLIENT) as u64,
         "every networked request executed exactly once"
     );
@@ -191,7 +189,10 @@ fn metrics_and_healthz_answer_mid_load() {
         stop.store(1, Ordering::Relaxed);
     });
     let rt = server.shutdown();
-    assert!(rt.metrics().snapshot().completed > 0, "load actually ran");
+    assert!(
+        rt.metrics().completed.load(Ordering::Relaxed) > 0,
+        "load actually ran"
+    );
 }
 
 #[test]
@@ -318,9 +319,8 @@ fn overload_sheds_with_retry_after() {
         "fairness accounting covers every request"
     );
     let rt = server.shutdown();
-    let s = rt.metrics().snapshot();
     assert_eq!(
-        s.completed,
+        rt.metrics().completed.load(Ordering::Relaxed),
         oks.load(Ordering::Relaxed),
         "only admitted requests reach the runtime"
     );
@@ -399,7 +399,7 @@ fn reactor_multiplexes_many_connections_on_a_fixed_pool() {
     drop(clients);
     let rt = server.shutdown();
     assert_eq!(
-        rt.metrics().snapshot().completed,
+        rt.metrics().completed.load(Ordering::Relaxed),
         (2 * CONNS) as u64,
         "every multiplexed request executed exactly once"
     );
@@ -465,13 +465,15 @@ fn graceful_drain_loses_zero_accepted_requests() {
     );
     assert!(ok > 0, "some requests completed before the drain");
     assert!(cut > 0, "the drain actually interrupted the fleet");
-    let s = drained_rt.metrics().snapshot();
+    let m = drained_rt.metrics();
+    let completed = m.completed.load(Ordering::Relaxed);
     assert_eq!(
-        s.completed, ok,
+        completed, ok,
         "every request the runtime accepted came back as a 200 — zero lost"
     );
     assert_eq!(
-        s.submitted, s.completed,
+        m.submitted.load(Ordering::Relaxed),
+        completed,
         "drain flushed everything accepted"
     );
 }

@@ -27,11 +27,12 @@ use crate::hist::{AtomicF64, HistogramSnapshot, LatencyHistogram};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
-    /// Request validation + intake enqueue (caller thread).
+    /// Request validation + pending-queue push (caller thread).
     Submit = 0,
-    /// Pending-queue wait: accepted → picked into a dispatch batch.
+    /// Pending-queue wait: accepted → taken into a batch by a worker.
     Queue = 1,
-    /// Admission: policy selection + batch formation (dispatcher).
+    /// Admission: policy selection + batch formation (the pulling
+    /// worker, under the queue lock).
     Admission = 2,
     /// Optical tile write: streaming weights through the pSRAM path.
     Write = 3,

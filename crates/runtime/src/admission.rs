@@ -1,26 +1,25 @@
 //! Residency-aware admission: indexed pending queues and pluggable
 //! dispatch-order policies.
 //!
-//! The dispatcher used to hold one flat `VecDeque` and scan it per batch
-//! (O(n) per batch, O(n²) per drain). This module replaces that with a
-//! [`PendingQueues`] structure indexed by matrix id — batch formation is
-//! an O(batch) pop from one group's deque — and an [`AdmissionPolicy`]
-//! trait that decides *which* group dispatches next:
+//! Pending work lives in a [`PendingQueues`] structure indexed by matrix
+//! id — batch formation is an O(batch) pop from one group's deque, never
+//! a scan of the whole backlog — and an [`AdmissionPolicy`] trait
+//! decides *which* group a free worker takes next:
 //!
 //! * [`Fifo`] — strict arrival order (the pre-policy behaviour, kept as
 //!   the comparison baseline);
 //! * [`ResidencyAware`] — reorders groups within per-request deadline
-//!   slack to lengthen same-matrix runs on the worker whose device
-//!   already holds the tile, with a hard starvation bound (no group
-//!   waits more than `max_delay` past its arrival-order turn);
+//!   slack to lengthen same-matrix runs on devices that already hold
+//!   the tile, with a hard starvation bound (no group waits more than
+//!   `max_delay` past its arrival-order turn);
 //! * [`EarliestDeadlineFirst`] — classic EDF over each group's earliest
 //!   pending deadline.
 //!
 //! Every policy sees the same [`GroupView`] summaries (sorted oldest
-//! head first) and the same [`DispatchContext`] (worker backlogs and the
-//! matrix→worker affinity map), so policies stay interchangeable and the
-//! per-request *results* are identical by construction — only order,
-//! latency, and tile-write energy differ.
+//! head first) and the same [`DispatchContext`] (which matrices idle
+//! devices hold, and the pulling worker's previous matrix), so policies
+//! stay interchangeable and the per-request *results* are identical by
+//! construction — only order, latency, and tile-write energy differ.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -126,6 +125,12 @@ impl<T: PendingItem> PendingQueues<T> {
         self.groups.len()
     }
 
+    /// Items pending in `matrix_id`'s group (0 for an unknown matrix).
+    #[must_use]
+    pub(crate) fn group_len(&self, matrix_id: u64) -> usize {
+        self.groups.get(&matrix_id).map_or(0, |g| g.items.len())
+    }
+
     /// Appends an item to its matrix's group (assigning the next global
     /// arrival sequence number).
     pub fn push(&mut self, item: T) {
@@ -201,29 +206,22 @@ pub struct GroupView {
 /// Scheduler state a policy may consult when picking the next group.
 #[derive(Debug)]
 pub struct DispatchContext<'a> {
-    /// Requests outstanding per worker (queued + executing).
-    pub worker_backlog: &'a [usize],
-    /// matrix id → worker that last served it (sticky affinity).
-    pub affinity: &'a HashMap<u64, usize>,
-    /// Backlog beyond which an affine worker counts as congested and its
-    /// residency is not worth chasing.
-    pub sticky_limit: usize,
-    /// Matrix of the most recently dispatched batch, if any.
+    /// Matrices whose tile an idle device holds (the device pool's
+    /// residency index).
+    pub resident: &'a [u64],
+    /// Matrix of the pulling worker's previous batch, if any.
     pub last_dispatched: Option<u64>,
 }
 
 impl DispatchContext<'_> {
-    /// Whether `matrix_id`'s tile is plausibly warm on an uncongested
-    /// worker: it has a sticky worker whose backlog is within bounds.
+    /// Whether `matrix_id`'s tile is warm: an idle device holds it.
     #[must_use]
     pub fn is_warm(&self, matrix_id: u64) -> bool {
-        self.affinity
-            .get(&matrix_id)
-            .is_some_and(|&w| self.worker_backlog.get(w).copied().unwrap_or(0) <= self.sticky_limit)
+        self.resident.contains(&matrix_id)
     }
 }
 
-/// Decides which pending group the dispatcher serves next.
+/// Decides which pending group a free worker serves next.
 ///
 /// `views` is non-empty and sorted oldest head first; the return value
 /// indexes into it. Policies may keep internal state (`&mut self`) —
@@ -236,7 +234,8 @@ pub trait AdmissionPolicy: Send {
     fn select(&mut self, views: &[GroupView], ctx: &DispatchContext<'_>, now: Instant) -> usize;
 }
 
-/// Strict arrival order — the pre-policy dispatcher behaviour.
+/// Strict arrival order — the baseline every other policy is measured
+/// against.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Fifo;
 
@@ -279,7 +278,7 @@ impl AdmissionPolicy for EarliestDeadlineFirst {
 }
 
 /// Reorders pending groups — within deadline slack — to lengthen
-/// same-matrix runs on workers that already hold the tile.
+/// same-matrix runs on devices that already hold the tile.
 ///
 /// Selection order:
 ///
@@ -290,11 +289,11 @@ impl AdmissionPolicy for EarliestDeadlineFirst {
 /// 2. **Deadline urgency**: any group whose earliest deadline is within
 ///    `max_delay` of `now` is at risk (a skipped group can wait up to
 ///    `max_delay`); the most urgent such group dispatches.
-/// 3. **Run lengthening**: if the matrix just dispatched still has
-///    pending work and its sticky worker is uncongested, keep the run
+/// 3. **Run lengthening**: if the pulling worker's previous matrix still
+///    has pending work and an idle device holds its tile, keep the run
 ///    going — every extra batch in the run is a write-free pass.
-/// 4. **Warm start**: otherwise the oldest group whose matrix is warm on
-///    an uncongested worker.
+/// 4. **Warm start**: otherwise the oldest group whose tile an idle
+///    device holds.
 /// 5. Otherwise strict FIFO.
 #[derive(Debug)]
 pub struct ResidencyAware {
@@ -355,7 +354,7 @@ impl AdmissionPolicy for ResidencyAware {
             return i;
         }
 
-        // Run lengthening: same matrix as the previous batch.
+        // Run lengthening: same matrix as the worker's previous batch.
         if let Some(last) = ctx.last_dispatched {
             if ctx.is_warm(last) {
                 if let Some(i) = views.iter().position(|v| v.matrix_id == last) {
@@ -364,7 +363,7 @@ impl AdmissionPolicy for ResidencyAware {
             }
         }
 
-        // Warm start: oldest group with a warm, uncongested worker.
+        // Warm start: oldest group whose tile an idle device holds.
         views
             .iter()
             .position(|v| ctx.is_warm(v.matrix_id))
@@ -519,11 +518,8 @@ mod tests {
         let mut q = PendingQueues::new();
         q.push(item(1));
         q.push(item(2));
-        let affinity = HashMap::from([(2u64, 0usize)]);
         let ctx = DispatchContext {
-            worker_backlog: &[0],
-            affinity: &affinity,
-            sticky_limit: 8,
+            resident: &[2],
             last_dispatched: Some(2),
         };
         assert_eq!(Fifo.select(&q.views(), &ctx, Instant::now()), 0);
@@ -536,11 +532,8 @@ mod tests {
         q.push(item(1)); // no deadline
         q.push(with_deadline(2, now + Duration::from_secs(9)));
         q.push(with_deadline(3, now + Duration::from_secs(1)));
-        let affinity = HashMap::new();
         let ctx = DispatchContext {
-            worker_backlog: &[0],
-            affinity: &affinity,
-            sticky_limit: 8,
+            resident: &[],
             last_dispatched: None,
         };
         let views = q.views();
@@ -554,11 +547,8 @@ mod tests {
         let mut q = PendingQueues::new();
         q.push(item(1));
         q.push(item(2));
-        let affinity = HashMap::from([(2u64, 0usize)]);
         let ctx = DispatchContext {
-            worker_backlog: &[0],
-            affinity: &affinity,
-            sticky_limit: 8,
+            resident: &[2],
             last_dispatched: Some(2),
         };
         let mut policy = ResidencyAware::new(Duration::from_millis(100));
@@ -577,11 +567,8 @@ mod tests {
         q.push(item(1));
         q.push(with_deadline(3, now + Duration::from_millis(50)));
         q.push(item(2));
-        let affinity = HashMap::from([(2u64, 0usize)]);
         let ctx = DispatchContext {
-            worker_backlog: &[0],
-            affinity: &affinity,
-            sticky_limit: 8,
+            resident: &[2],
             last_dispatched: Some(2),
         };
         let mut policy = ResidencyAware::new(Duration::from_millis(100));

@@ -13,15 +13,16 @@
 //! * [`DevicePool`] shares N calibrated devices with residency-affine
 //!   checkout, so hot matrices keep landing on arrays that already hold
 //!   their weights;
-//! * [`Runtime`] adds bounded intake, dynamic same-matrix batching,
-//!   per-request deadlines, typed rejections, and graceful shutdown —
-//!   all on std threads and channels;
-//! * [`MetricsRegistry`] counts everything and snapshots to JSON —
-//!   with per-stage latency/energy attribution (`pic-obs` spans through
+//! * [`Runtime`] adds a bounded pending queue that one worker per
+//!   device pulls same-matrix batches from, per-request deadlines,
+//!   typed rejections, and graceful shutdown — all on std threads, one
+//!   mutex and one condvar;
+//! * [`MetricsRegistry`] counts everything in atomics — with per-stage
+//!   latency/energy attribution (`pic-obs` spans through
 //!   submit → queue → admission → write → compute → digitize → merge →
-//!   respond), a flight recorder of recent structured events, a unified
+//!   respond), a flight recorder of recent structured events, one
 //!   Prometheus/JSON exposition [`Frame`](pic_obs::Frame) via
-//!   [`Runtime::frame`], and a periodic snapshot exporter
+//!   [`Runtime::frame`] that every reader uses, and a periodic exporter
 //!   ([`Runtime::spawn_exporter`]). Building with the `obs-off` feature
 //!   compiles all instrumentation to no-ops.
 //!
@@ -60,7 +61,7 @@ pub use admission::{
     PendingItem, PendingQueues, ResidencyAware,
 };
 pub use executor::TileExecutor;
-pub use metrics::{AtomicF64, LatencyHistogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{AtomicF64, LatencyHistogram, MetricsRegistry};
 pub use pool::{DeviceGuard, DevicePool};
 pub use request::{MatmulRequest, OutputElement, RequestCost, Response, RuntimeError};
 pub use scheduler::{CompletionWaker, ResponseHandle, Runtime, RuntimeConfig};

@@ -1,11 +1,10 @@
 //! Lock-free serving metrics: counters, latency histograms, per-stage
 //! statistics, energy, and the flight recorder.
 //!
-//! Workers record into atomics (no locks on the hot path); a
-//! [`MetricsRegistry::snapshot`] collapses everything into a
-//! serialisable [`MetricsSnapshot`] for the benchmark JSON, and
-//! [`MetricsRegistry::frame`] builds a [`pic_obs::Frame`] for the
-//! Prometheus/JSON exposition layer and the periodic exporter.
+//! Workers record into atomics (no locks on the hot path), and
+//! [`MetricsRegistry::frame`] builds the one [`pic_obs::Frame`] every
+//! reader uses: the Prometheus/JSON exposition layer, the periodic
+//! exporter and the benchmark's scrape.
 //!
 //! The histogram and float-accumulator primitives live in `pic-obs`
 //! (re-exported here for compatibility); this module owns the
@@ -21,17 +20,17 @@ use std::time::Instant;
 /// The runtime's metrics registry; one per [`Runtime`](crate::Runtime).
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    /// Requests accepted into the intake queue.
+    /// Requests accepted into the pending queue.
     pub submitted: AtomicU64,
     /// Requests completed with a response.
     pub completed: AtomicU64,
     /// Requests rejected because their deadline expired pre-execution.
     pub rejected_deadline: AtomicU64,
-    /// Requests rejected by intake backpressure.
+    /// Requests rejected because the pending queue was full.
     pub rejected_queue_full: AtomicU64,
     /// Requests rejected by validation.
     pub rejected_invalid: AtomicU64,
-    /// Batches dispatched to workers.
+    /// Batches workers took from the pending queue.
     pub batches_dispatched: AtomicU64,
     /// Requests that shared a batch with at least one other request.
     pub requests_batched: AtomicU64,
@@ -56,9 +55,8 @@ pub struct MetricsRegistry {
     pub stages: Arc<StageStats>,
     /// Ring buffer of recent structured events for post-mortem dumps.
     pub recorder: Arc<FlightRecorder>,
-    /// Live gauge: requests sitting in the bounded intake queue.
-    pub intake_depth: AtomicU64,
-    /// Live gauge: requests in the dispatcher's pending queues.
+    /// Live gauge: accepted requests no worker has taken yet (at most
+    /// the runtime's `queue_depth`).
     pub pending_depth: AtomicU64,
     /// Live gauge: workers currently executing a batch.
     pub workers_busy: AtomicU64,
@@ -90,7 +88,6 @@ impl Default for MetricsRegistry {
             device_time_s: AtomicF64::new(),
             stages: Arc::new(StageStats::new()),
             recorder: Arc::new(FlightRecorder::default()),
-            intake_depth: AtomicU64::new(0),
             pending_depth: AtomicU64::new(0),
             workers_busy: AtomicU64::new(0),
             worker_busy_ns: AtomicU64::new(0),
@@ -100,88 +97,7 @@ impl Default for MetricsRegistry {
     }
 }
 
-/// A serialisable point-in-time view of a [`MetricsRegistry`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MetricsSnapshot {
-    /// Requests accepted into the intake queue.
-    pub submitted: u64,
-    /// Requests completed with a response.
-    pub completed: u64,
-    /// Requests rejected because their deadline expired pre-execution.
-    pub rejected_deadline: u64,
-    /// Requests rejected by intake backpressure.
-    pub rejected_queue_full: u64,
-    /// Requests rejected by validation.
-    pub rejected_invalid: u64,
-    /// Batches dispatched to workers.
-    pub batches_dispatched: u64,
-    /// Requests that shared a batch with at least one other request.
-    pub requests_batched: u64,
-    /// Batches dispatched out of strict arrival order (0 under FIFO).
-    pub admission_reorders: u64,
-    /// Tiles streamed through the optical write path.
-    pub tile_writes: u64,
-    /// Tile loads avoided by residency.
-    pub tile_hits: u64,
-    /// Share of tile loads served from residency:
-    /// `tile_hits / (tile_hits + tile_writes)`. `None` when no tile has
-    /// moved yet — "no traffic" is not the same observation as "every
-    /// tile missed", and consumers must not conflate them.
-    pub tile_hit_rate: Option<f64>,
-    /// Mean submit→response latency, s.
-    pub latency_mean_s: f64,
-    /// Median submit→response latency, s.
-    pub latency_p50_s: f64,
-    /// 99th-percentile submit→response latency, s.
-    pub latency_p99_s: f64,
-    /// 99.9th-percentile submit→response latency, s.
-    pub latency_p999_s: f64,
-    /// Largest observed submit→response latency (bucket upper edge), s.
-    pub latency_max_s: f64,
-    /// Modeled hardware energy charged to completed requests, J.
-    pub energy_j: f64,
-    /// The pSRAM tile-write share of `energy_j`.
-    pub write_energy_j: f64,
-    /// Modeled hardware time charged to completed requests, s.
-    pub device_time_s: f64,
-}
-
 impl MetricsRegistry {
-    /// Collapses the registry into a serialisable snapshot. All latency
-    /// statistics derive from one consistent histogram snapshot, so the
-    /// quantiles in a single [`MetricsSnapshot`] never disagree about
-    /// the sample count even under concurrent recording.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let latency = self.latency.snapshot();
-        let tile_writes = self.tile_writes.load(Ordering::Relaxed);
-        let tile_hits = self.tile_hits.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
-            rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
-            batches_dispatched: self.batches_dispatched.load(Ordering::Relaxed),
-            requests_batched: self.requests_batched.load(Ordering::Relaxed),
-            admission_reorders: self.admission_reorders.load(Ordering::Relaxed),
-            tile_writes,
-            tile_hits,
-            tile_hit_rate: match tile_hits + tile_writes {
-                0 => None,
-                total => Some(tile_hits as f64 / total as f64),
-            },
-            latency_mean_s: latency.mean_s(),
-            latency_p50_s: latency.quantile_s(0.5),
-            latency_p99_s: latency.quantile_s(0.99),
-            latency_p999_s: latency.quantile_s(0.999),
-            latency_max_s: latency.max_s(),
-            energy_j: self.energy_j.get(),
-            write_energy_j: self.write_energy_j.get(),
-            device_time_s: self.device_time_s.get(),
-        }
-    }
-
     /// Builds the unified exposition [`Frame`]: every counter, the live
     /// gauges, the per-stage latency/energy rows, and the end-to-end
     /// latency histogram. Pool-level gauges (idle devices, residency)
@@ -193,10 +109,6 @@ impl MetricsRegistry {
         let tile_writes = self.tile_writes.load(Ordering::Relaxed);
         let tile_hits = self.tile_hits.load(Ordering::Relaxed);
         let mut gauges = vec![
-            (
-                "intake_depth".to_owned(),
-                self.intake_depth.load(Ordering::Relaxed) as f64,
-            ),
             (
                 "pending_depth".to_owned(),
                 self.pending_depth.load(Ordering::Relaxed) as f64,
@@ -293,47 +205,6 @@ mod tests {
     use pic_obs::EventKind;
 
     #[test]
-    fn snapshot_mirrors_the_registry() {
-        let m = MetricsRegistry::default();
-        m.submitted.fetch_add(5, Ordering::Relaxed);
-        m.completed.fetch_add(4, Ordering::Relaxed);
-        m.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-        m.tile_writes.fetch_add(7, Ordering::Relaxed);
-        m.tile_hits.fetch_add(3, Ordering::Relaxed);
-        m.energy_j.add(1.5e-9);
-        m.latency.record(2_000);
-        let s = m.snapshot();
-        assert_eq!((s.submitted, s.completed, s.rejected_deadline), (5, 4, 1));
-        assert_eq!((s.tile_writes, s.tile_hits), (7, 3));
-        let rate = s.tile_hit_rate.expect("traffic flowed, rate defined");
-        assert!((rate - 0.3).abs() < 1e-12);
-        assert!((s.energy_j - 1.5e-9).abs() < 1e-21);
-        assert!(s.latency_p50_s > 0.0);
-        assert!(s.latency_p999_s >= s.latency_p99_s);
-        assert!(s.latency_max_s >= s.latency_p999_s);
-        let json = serde_json::to_string(&s).expect("serialises");
-        assert!(json.contains("latency_p999_s"));
-        assert!(json.contains("latency_max_s"));
-        assert!(json.contains("tile_hit_rate"));
-    }
-
-    #[test]
-    fn tile_hit_rate_is_absent_without_traffic() {
-        let m = MetricsRegistry::default();
-        let s = m.snapshot();
-        assert_eq!(s.tile_hit_rate, None, "no traffic must not read as 0.0");
-        assert_eq!(s.latency_max_s, 0.0);
-        // An all-miss workload IS a defined 0.0 — distinguishable now.
-        m.tile_writes.fetch_add(3, Ordering::Relaxed);
-        assert_eq!(m.snapshot().tile_hit_rate, Some(0.0));
-        // The snapshot round-trips through JSON in both states.
-        let json = serde_json::to_string(&s).expect("serialises");
-        assert!(json.contains("\"tile_hit_rate\":null"));
-        let back: MetricsSnapshot = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back.tile_hit_rate, None);
-    }
-
-    #[test]
     fn derived_gauges_are_omitted_when_undefined() {
         let m = MetricsRegistry::default();
         let gauge = |f: &Frame, n: &str| f.gauges.iter().find(|(name, _)| name == n).map(|g| g.1);
@@ -341,12 +212,14 @@ mod tests {
         // rather than a fabricated 0.0.
         let f = m.frame();
         assert_eq!(gauge(&f, "worker_busy_fraction"), None);
-        assert_eq!(gauge(&f, "tile_hit_rate"), None);
+        assert_eq!(gauge(&f, "tile_hit_rate"), None, "no traffic is not 0.0");
         assert_eq!(gauge(&f, "devices"), Some(0.0));
+        // An all-miss workload IS a defined 0.0.
+        m.tile_writes.fetch_add(3, Ordering::Relaxed);
+        assert_eq!(gauge(&m.frame(), "tile_hit_rate"), Some(0.0));
         m.devices.store(4, Ordering::Relaxed);
         m.workers_busy.fetch_add(1, Ordering::Relaxed);
-        m.tile_writes.fetch_add(1, Ordering::Relaxed);
-        m.tile_hits.fetch_add(3, Ordering::Relaxed);
+        m.tile_hits.fetch_add(9, Ordering::Relaxed);
         let f = m.frame();
         assert_eq!(gauge(&f, "worker_busy_fraction"), Some(0.25));
         assert_eq!(gauge(&f, "tile_hit_rate"), Some(0.75));
@@ -360,7 +233,7 @@ mod tests {
     fn frame_carries_counters_gauges_stages_and_latency() {
         let m = MetricsRegistry::default();
         m.completed.fetch_add(2, Ordering::Relaxed);
-        m.intake_depth.fetch_add(4, Ordering::Relaxed);
+        m.pending_depth.store(4, Ordering::Relaxed);
         m.devices.store(2, Ordering::Relaxed);
         m.workers_busy.fetch_add(1, Ordering::Relaxed);
         m.latency.record(5_000);
@@ -376,7 +249,7 @@ mod tests {
         };
         assert_eq!(counter("requests_completed"), Some(2));
         let gauge = |n: &str| f.gauges.iter().find(|(name, _)| name == n).map(|g| g.1);
-        assert_eq!(gauge("intake_depth"), Some(4.0));
+        assert_eq!(gauge("pending_depth"), Some(4.0));
         assert_eq!(gauge("worker_busy_fraction"), Some(0.5));
         assert_eq!(f.stages.len(), pic_obs::STAGE_COUNT);
         assert_eq!(f.hists[0].0, "latency");
@@ -413,16 +286,30 @@ mod tests {
         assert!(counter("recorder_events").is_some());
     }
 
-    /// Satellite stress test: 8 writer threads hammer one registry while
-    /// a snapshotter reads concurrently. Every observed snapshot must
-    /// have monotone counters, and every histogram snapshot's derived
-    /// count must equal the sum of its bucket counts (the relaxed-race
-    /// bug class the quantile clamp fix addresses).
+    /// 8 writer threads hammer one registry while a reader builds
+    /// frames concurrently. Every observed frame must have monotone
+    /// counters, and every latency histogram's derived count must equal
+    /// the sum of its bucket counts (the relaxed-race bug class the
+    /// quantile clamp fix addresses).
     #[test]
     fn concurrent_snapshots_stay_monotone_and_self_consistent() {
         let m = Arc::new(MetricsRegistry::default());
         const WRITERS: usize = 8;
         const PER: u64 = 10_000;
+        let counters = |f: &Frame| {
+            let read = |n: &str| {
+                f.counters
+                    .iter()
+                    .find(|(name, _)| *name == n)
+                    .map(|&(_, v)| v)
+                    .expect("counter present")
+            };
+            (
+                read("requests_submitted"),
+                read("requests_completed"),
+                read("tile_writes"),
+            )
+        };
         std::thread::scope(|scope| {
             for w in 0..WRITERS {
                 let m = Arc::clone(&m);
@@ -439,16 +326,17 @@ mod tests {
             }
             let m = Arc::clone(&m);
             scope.spawn(move || {
-                let mut last = m.snapshot();
+                let mut last = counters(&m.frame());
                 for _ in 0..500 {
-                    let snap = m.snapshot();
-                    assert!(snap.submitted >= last.submitted, "monotone submitted");
-                    assert!(snap.completed >= last.completed, "monotone completed");
-                    assert!(snap.tile_writes >= last.tile_writes, "monotone writes");
+                    let frame = m.frame();
+                    let now = counters(&frame);
+                    assert!(now.0 >= last.0, "monotone submitted");
+                    assert!(now.1 >= last.1, "monotone completed");
+                    assert!(now.2 >= last.2, "monotone writes");
                     // count == Σ bucket counts holds by construction in
                     // the histogram snapshot; quantiles must stay inside
                     // the recorded range even mid-race (the clamp fix).
-                    let hist = m.latency.snapshot();
+                    let hist = &frame.hists[0].1;
                     assert_eq!(
                         hist.count(),
                         hist.buckets.iter().sum::<u64>(),
@@ -461,12 +349,12 @@ mod tests {
                             "q{q} = {v}s escaped the recorded range"
                         );
                     }
-                    last = snap;
+                    last = now;
                 }
             });
         });
-        let end = m.snapshot();
-        assert_eq!(end.submitted, (WRITERS as u64) * PER);
-        assert_eq!(m.latency.snapshot().count(), (WRITERS as u64) * PER);
+        let end = m.frame();
+        assert_eq!(counters(&end).0, (WRITERS as u64) * PER);
+        assert_eq!(end.hists[0].1.count(), (WRITERS as u64) * PER);
     }
 }

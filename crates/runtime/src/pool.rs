@@ -138,6 +138,14 @@ impl DevicePool {
             .collect()
     }
 
+    /// Matrices whose tile an idle device holds, read from the
+    /// residency index (in no particular order).
+    #[must_use]
+    pub(crate) fn resident_matrices(&self) -> Vec<u64> {
+        let idle = self.idle.lock().expect("pool lock");
+        idle.by_matrix.keys().copied().collect()
+    }
+
     /// Checks out any device, blocking until one is idle.
     #[must_use]
     pub fn acquire(&self) -> DeviceGuard<'_> {
@@ -269,11 +277,16 @@ mod tests {
         let (a, b) = (p.acquire(), p.acquire());
         drop(a);
         drop(b);
+        assert_eq!(p.resident_matrices(), vec![m.id()]);
         let dev = p.acquire_for(m.id());
         assert_eq!(
             dev.device_id(),
             warmed_id,
             "affinity must find the warm device"
+        );
+        assert!(
+            p.resident_matrices().is_empty(),
+            "a checked-out device's tile is not an idle device's"
         );
         let other = p.acquire_for(m.id() + 1000);
         assert_ne!(other.device_id(), warmed_id);

@@ -1,27 +1,39 @@
-//! The concurrent serving runtime: intake queue, dynamic batcher,
-//! worker threads over a shared device pool.
+//! The concurrent serving runtime: one bounded pending queue that the
+//! worker threads pull their own batches from, over a shared device
+//! pool.
 //!
 //! ```text
-//! submit() ──▶ bounded intake ──▶ dispatcher ──▶ bounded worker queues
-//!                (backpressure)     (groups same-matrix requests,
-//!                                    routes to least-loaded worker)
-//!                                        │
-//!                                        ▼
-//!                              worker: DevicePool::acquire_for
-//!                                 (residency-affine checkout)
-//!                                        │
-//!                                        ▼
-//!                              TileExecutor::execute ──▶ ResponseHandle
+//! submit() ──▶ pending queue ◀── worker (one per device): when free, runs
+//!              (one Mutex +       the admission policy and takes up to
+//!               Condvar; ≤        max_batch same-matrix requests
+//!               queue_depth)              │
+//!                                         ▼
+//!                               DevicePool::acquire_for
+//!                               (residency-affine checkout)
+//!                                         │
+//!                                         ▼
+//!                               TileExecutor::execute ──▶ ResponseHandle
 //! ```
 //!
-//! Everything is std threads and `mpsc` channels — no async runtime, no
-//! external dependencies. Queues are bounded end to end, so overload
-//! surfaces as a typed [`RuntimeError::QueueFull`] at the edge instead
-//! of unbounded memory growth; deadlines are enforced at dispatch time
-//! with [`RuntimeError::DeadlineExpired`]; dropping the [`Runtime`]
-//! drains in-flight work and joins every thread.
+//! Everything is std threads, one mutex and one condvar — no async
+//! runtime, no external dependencies. A request crosses two threads:
+//! its submitter and the worker that serves it.
+//! Every accepted request no worker has taken counts against
+//! `queue_depth`, so overload surfaces as a typed
+//! [`RuntimeError::QueueFull`] at the edge instead of unbounded memory
+//! growth; deadlines are enforced at submit, at batch formation and
+//! again before the device pass with [`RuntimeError::DeadlineExpired`];
+//! dropping the [`Runtime`] drains accepted work and joins every
+//! thread.
+//!
+//! Residency steers the pull: the admission policy reads which matrices
+//! idle devices hold from the pool's index, and a free worker leaves a
+//! short group (at most `2 · max_batch` requests) to the worker already
+//! running its matrix, which takes it next without a tile rewrite.
 
-use crate::admission::{AdmissionPolicyKind, DispatchContext, PendingItem, PendingQueues};
+use crate::admission::{
+    AdmissionPolicy, AdmissionPolicyKind, DispatchContext, GroupView, PendingItem, PendingQueues,
+};
 use crate::metrics::MetricsRegistry;
 use crate::pool::DevicePool;
 use crate::request::{MatmulRequest, RequestCost, Response, RuntimeError};
@@ -29,9 +41,9 @@ use pic_obs::{EventKind, Frame, SnapshotSink, Stage, StageTimer};
 use pic_tensor::performance::PerformanceModel;
 use pic_tensor::TensorCoreConfig;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A worker that waited idle at least this long records a
@@ -45,15 +57,13 @@ pub struct RuntimeConfig {
     pub core: TensorCoreConfig,
     /// Devices in the pool (= worker threads).
     pub devices: usize,
-    /// Bound of the intake queue; beyond it [`Runtime::submit`] returns
+    /// Bound of the pending queue — every accepted request no worker
+    /// has taken yet; beyond it [`Runtime::submit`] returns
     /// [`RuntimeError::QueueFull`].
     pub queue_depth: usize,
     /// Most requests merged into one device pass (same matrix only).
     pub max_batch: usize,
-    /// Bound of each worker's queue; keeps the dispatcher from running
-    /// far ahead of slow devices.
-    pub worker_queue_depth: usize,
-    /// Which admission policy orders pending groups at dispatch.
+    /// Which admission policy orders pending groups at batch formation.
     pub policy: AdmissionPolicyKind,
     /// The [`ResidencyAware`](crate::admission::ResidencyAware) policy's
     /// starvation bound: no pending group is delayed more than this past
@@ -63,7 +73,7 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The evaluation setup: four paper-scale cores, a 1024-deep intake
+    /// The evaluation setup: four paper-scale cores, a 1024-deep pending
     /// queue, batches of up to 8 same-matrix requests, residency-aware
     /// admission bounded at 400 ms of reordering slack.
     #[must_use]
@@ -73,7 +83,6 @@ impl RuntimeConfig {
             devices: 4,
             queue_depth: 1024,
             max_batch: 8,
-            worker_queue_depth: 2,
             policy: AdmissionPolicyKind::ResidencyAware,
             max_delay: Duration::from_millis(400),
         }
@@ -94,9 +103,8 @@ impl RuntimeConfig {
     pub fn validate(&self) {
         self.core.validate();
         assert!(self.devices > 0, "runtime needs at least one device");
-        assert!(self.queue_depth > 0, "intake queue must have capacity");
+        assert!(self.queue_depth > 0, "the pending queue must have capacity");
         assert!(self.max_batch > 0, "batches hold at least one request");
-        assert!(self.worker_queue_depth > 0, "worker queues need capacity");
         assert!(
             self.max_delay > Duration::ZERO,
             "a zero starvation bound degenerates to FIFO; configure Fifo instead"
@@ -179,11 +187,6 @@ impl PendingItem for Submission {
     fn submitted_at(&self) -> Instant {
         self.submitted_at
     }
-}
-
-/// A same-matrix group of submissions bound for one worker.
-struct Batch {
-    group: Vec<Submission>,
 }
 
 /// Waits for one request's response.
@@ -286,21 +289,55 @@ struct ExporterStop {
     wake: Condvar,
 }
 
+/// The pending queue's state: everything submitters and workers share,
+/// behind one lock.
+struct QueueState {
+    /// Accepted requests no worker has taken yet, indexed by matrix.
+    pending: PendingQueues<Submission>,
+    /// Orders the pending groups; one instance shared by every worker.
+    policy: Box<dyn AdmissionPolicy>,
+    /// Whether intake accepts new work ([`Runtime::drain`] and
+    /// [`Runtime::kill`] clear it for good).
+    open: bool,
+    /// The matrix each worker has in a device pass, by worker index.
+    in_pass: Vec<Option<u64>>,
+}
+
+impl std::fmt::Debug for QueueState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueueState")
+            .field("pending", &self.pending.len())
+            .field("policy", &self.policy.name())
+            .field("open", &self.open)
+            .field("in_pass", &self.in_pass)
+            .finish()
+    }
+}
+
+/// The pending queue and the one condvar its waiters park on.
+///
+/// Idle workers wait for visible work, and [`Runtime::submit_blocking`]
+/// callers wait for room. A submitter only waits on a full queue, the
+/// queue stays full until a worker takes from it, and such a take wakes
+/// every waiter; so a `notify_one` after a push, or after a take from a
+/// queue that was not full, always reaches a worker.
+#[derive(Debug)]
+struct Queue {
+    state: Mutex<QueueState>,
+    wake: Condvar,
+}
+
+impl Queue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().expect("queue lock")
+    }
+}
+
 /// The serving runtime. See the [module docs](self) for the data path.
 #[derive(Debug)]
 pub struct Runtime {
-    /// The intake sender, behind a lock so [`Runtime::drain`] can close
-    /// it through `&self` (the network front-end shares the runtime
-    /// across connection threads and needs to stop intake without
-    /// exclusive ownership). Submit paths clone the sender under a read
-    /// lock and release it before touching the channel, so drain never
-    /// waits behind a blocked submitter.
-    intake: RwLock<Option<SyncSender<Submission>>>,
-    /// Crash-simulation flag (see [`Runtime::kill`]): when raised the
-    /// dispatcher abandons accepted-but-undispatched work instead of
-    /// draining it.
-    killed: Arc<std::sync::atomic::AtomicBool>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
+    queue: Arc<Queue>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     exporter: Option<std::thread::JoinHandle<()>>,
     exporter_stop: Arc<ExporterStop>,
     metrics: Arc<MetricsRegistry>,
@@ -309,8 +346,8 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Builds the device pool, spawns the dispatcher and one worker per
-    /// device, and opens the intake queue.
+    /// Builds the device pool, opens the pending queue and spawns one
+    /// worker per device.
     ///
     /// # Panics
     ///
@@ -323,21 +360,36 @@ impl Runtime {
             .devices
             .store(config.devices as u64, Ordering::Relaxed);
         let pool = Arc::new(DevicePool::new(config.core, config.devices));
-        let (intake_tx, intake_rx) = std::sync::mpsc::sync_channel(config.queue_depth);
-        let killed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let dispatcher = {
-            let metrics = Arc::clone(&metrics);
-            let pool = Arc::clone(&pool);
-            let killed = Arc::clone(&killed);
-            std::thread::Builder::new()
-                .name("pic-dispatcher".to_owned())
-                .spawn(move || dispatcher_loop(&config, &intake_rx, &pool, &metrics, &killed))
-                .expect("spawn dispatcher")
+        let queue = Arc::new(Queue {
+            state: Mutex::new(QueueState {
+                pending: PendingQueues::new(),
+                policy: config.policy.build(config.max_delay),
+                open: true,
+                in_pass: vec![None; config.devices],
+            }),
+            wake: Condvar::new(),
+        });
+        // Digitisation's share of modeled compute energy, from the paper's
+        // power breakdown — splits each batch's compute energy between the
+        // analog-compute and digitise stages.
+        let adc_fraction = {
+            let breakdown = PerformanceModel::new(config.core).power_breakdown();
+            breakdown.adc_w / breakdown.total_w()
         };
+        let workers = (0..config.devices)
+            .map(|w| {
+                let queue = Arc::clone(&queue);
+                let pool = Arc::clone(&pool);
+                let metrics = Arc::clone(&metrics);
+                std::thread::Builder::new()
+                    .name(format!("pic-worker-{w}"))
+                    .spawn(move || worker_loop(w, &config, &queue, &pool, &metrics, adc_fraction))
+                    .expect("spawn worker")
+            })
+            .collect();
         Runtime {
-            intake: RwLock::new(Some(intake_tx)),
-            killed,
-            dispatcher: Some(dispatcher),
+            queue,
+            workers,
             exporter: None,
             exporter_stop: Arc::new(ExporterStop::default()),
             metrics,
@@ -410,12 +462,12 @@ impl Runtime {
     ///
     /// [`RuntimeError::InvalidRequest`] on validation failure,
     /// [`RuntimeError::DeadlineExpired`] when the deadline already
-    /// passed (dead-on-arrival requests never occupy the intake queue,
+    /// passed (dead-on-arrival requests never occupy the pending queue,
     /// the admission index, or a batch slot),
-    /// [`RuntimeError::QueueFull`] under backpressure,
-    /// [`RuntimeError::ShuttingDown`] after shutdown began.
+    /// [`RuntimeError::QueueFull`] once `queue_depth` requests are
+    /// pending, [`RuntimeError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, request: MatmulRequest) -> Result<ResponseHandle, RuntimeError> {
-        self.submit_inner(request, None)
+        self.submit_inner(request, None, false)
     }
 
     /// Submits a request without blocking, tagging it with a
@@ -443,13 +495,25 @@ impl Runtime {
                 waker: Some(waker),
                 token,
             }),
+            false,
         )
+    }
+
+    /// Submits a request, blocking while the pending queue is full.
+    ///
+    /// # Errors
+    ///
+    /// Like [`Runtime::submit`], except backpressure blocks instead of
+    /// returning [`RuntimeError::QueueFull`].
+    pub fn submit_blocking(&self, request: MatmulRequest) -> Result<ResponseHandle, RuntimeError> {
+        self.submit_inner(request, None, true)
     }
 
     fn submit_inner(
         &self,
         request: MatmulRequest,
         wake: Option<WakeGuard>,
+        block: bool,
     ) -> Result<ResponseHandle, RuntimeError> {
         let _timer = StageTimer::start(&self.metrics.stages, Stage::Submit);
         let (mut submission, handle) = match self.admit(request) {
@@ -463,83 +527,65 @@ impl Runtime {
             }
         };
         submission.wake = wake;
-        let intake = match self.intake_sender() {
-            Ok(intake) => intake,
-            Err(e) => {
-                if let Some(guard) = submission.wake.take() {
-                    guard.defuse();
-                }
-                return Err(e);
-            }
-        };
-        match intake.try_send(submission) {
-            Ok(()) => {
-                self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-                self.metrics.intake_depth.fetch_add(1, Ordering::Relaxed);
-                Ok(handle)
-            }
-            Err(TrySendError::Full(mut rejected)) => {
-                if let Some(guard) = rejected.wake.take() {
-                    guard.defuse();
-                }
-                self.metrics
-                    .rejected_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                self.metrics.recorder.record(
-                    EventKind::QueueFullRejected,
-                    rejected.request.matrix.id(),
-                    0,
-                );
-                Err(RuntimeError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(mut rejected)) => {
-                if let Some(guard) = rejected.wake.take() {
-                    guard.defuse();
-                }
-                Err(RuntimeError::ShuttingDown)
-            }
-        }
-    }
-
-    /// Submits a request, blocking while the intake queue is full.
-    ///
-    /// # Errors
-    ///
-    /// Like [`Runtime::submit`], except backpressure blocks instead of
-    /// returning [`RuntimeError::QueueFull`].
-    pub fn submit_blocking(&self, request: MatmulRequest) -> Result<ResponseHandle, RuntimeError> {
-        let _timer = StageTimer::start(&self.metrics.stages, Stage::Submit);
-        let (submission, handle) = self.admit(request)?;
-        let intake = self.intake_sender()?;
-        intake
-            .send(submission)
-            .map_err(|_| RuntimeError::ShuttingDown)?;
-        self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        self.metrics.intake_depth.fetch_add(1, Ordering::Relaxed);
+        self.enqueue(submission, block)?;
         Ok(handle)
     }
 
-    /// Clones the intake sender under the read lock (released before
-    /// the channel is touched, so [`Runtime::drain`] never queues
-    /// behind a blocked submitter).
-    fn intake_sender(&self) -> Result<SyncSender<Submission>, RuntimeError> {
-        self.intake
-            .read()
-            .expect("intake lock")
-            .clone()
-            .ok_or(RuntimeError::ShuttingDown)
+    /// Pushes an admitted submission onto the pending queue, waiting for
+    /// room first when `block` is set, and wakes a worker that may take
+    /// it. A rejected submission is dropped here without a wake: the
+    /// caller holds the typed error.
+    fn enqueue(&self, mut submission: Submission, block: bool) -> Result<(), RuntimeError> {
+        let matrix_id = submission.request.matrix.id();
+        let mut state = self.queue.lock();
+        while block && state.open && state.pending.len() >= self.config.queue_depth {
+            state = self.queue.wake.wait(state).expect("queue lock");
+        }
+        if !state.open || state.pending.len() >= self.config.queue_depth {
+            let open = state.open;
+            drop(state);
+            if let Some(guard) = submission.wake.take() {
+                guard.defuse();
+            }
+            if !open {
+                return Err(RuntimeError::ShuttingDown);
+            }
+            self.metrics
+                .rejected_queue_full
+                .fetch_add(1, Ordering::Relaxed);
+            self.metrics
+                .recorder
+                .record(EventKind::QueueFullRejected, matrix_id, 0);
+            return Err(RuntimeError::QueueFull);
+        }
+        state.pending.push(submission);
+        self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .pending_depth
+            .store(state.pending.len() as u64, Ordering::Relaxed);
+        let visible = state.visible(
+            matrix_id,
+            state.pending.group_len(matrix_id),
+            self.config.max_batch,
+        );
+        drop(state);
+        if visible {
+            self.queue.wake.notify_one();
+        }
+        Ok(())
     }
 
     /// Whether the runtime still accepts new work (`false` once
-    /// [`Runtime::drain`] or [`Runtime::shutdown`] has run).
+    /// [`Runtime::drain`], [`Runtime::kill`] or [`Runtime::shutdown`]
+    /// has run).
     #[must_use]
     pub fn is_accepting(&self) -> bool {
-        self.intake.read().expect("intake lock").is_some()
+        self.queue.lock().open
     }
 
     /// Validates a request and pairs it with its response channel. A
     /// request whose deadline has already passed is rejected here —
-    /// before it can occupy the intake queue, the admission index, or a
+    /// before it can occupy the pending queue, the admission index, or a
     /// batch slot — so dead-on-arrival work is never charged any
     /// admission effort.
     fn admit(&self, request: MatmulRequest) -> Result<(Submission, ResponseHandle), RuntimeError> {
@@ -566,13 +612,12 @@ impl Runtime {
         }
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         // A traced request opens its "queue" span here, tagged with
-        // the backlog it joined; the dispatcher closes it when the
-        // request leaves the pending set for a batch.
+        // the backlog it joins; the worker that takes it into a batch
+        // closes it.
         let trace_queue = request.trace.as_ref().and_then(|t| {
             let idx = t.collector.begin("queue", t.parent);
-            let depth = self.metrics.intake_depth.load(Ordering::Relaxed)
-                + self.metrics.pending_depth.load(Ordering::Relaxed);
-            t.collector.set_queue_depth(idx, depth);
+            t.collector
+                .set_queue_depth(idx, self.metrics.pending_depth.load(Ordering::Relaxed));
             idx
         });
         Ok((
@@ -589,25 +634,33 @@ impl Runtime {
 
     /// Stops intake through `&self` without joining any thread: further
     /// submits fail with [`RuntimeError::ShuttingDown`] while the
-    /// dispatcher keeps draining everything already accepted in the
+    /// workers keep draining everything already accepted in the
     /// background. The network front-end uses this as its drain hook —
     /// stop the wire first, let in-flight work flush, then join via
     /// [`Runtime::shutdown`]. Idempotent.
     pub fn drain(&self) {
-        *self.intake.write().expect("intake lock") = None;
+        self.queue.lock().open = false;
+        self.queue.wake.notify_all();
     }
 
-    /// Simulates an abrupt node crash: intake closes *and* the
-    /// dispatcher abandons everything accepted but not yet handed to a
-    /// worker — those requests' waiters surface
-    /// [`RuntimeError::WorkerLost`], exactly what a caller of a real
-    /// remote node would observe when it dies mid-flight. (Batches a
-    /// worker already holds may still complete; a real crash has the
-    /// same race.) Threads still join via [`Runtime::shutdown`].
-    /// Idempotent.
+    /// Simulates an abrupt node crash: intake closes *and* everything
+    /// accepted but not yet taken by a worker is abandoned — those
+    /// requests' waiters surface [`RuntimeError::WorkerLost`], exactly
+    /// what a caller of a real remote node would observe when it dies
+    /// mid-flight. (Batches a worker already took still complete; a
+    /// real crash has the same race.) Threads still join via
+    /// [`Runtime::shutdown`]. Idempotent.
     pub fn kill(&self) {
-        self.killed.store(true, Ordering::Release);
-        self.drain();
+        let abandoned = {
+            let mut state = self.queue.lock();
+            state.open = false;
+            self.metrics.pending_depth.store(0, Ordering::Relaxed);
+            std::mem::take(&mut state.pending)
+        };
+        self.queue.wake.notify_all();
+        // Dropped unlocked: each responder disconnects, then its wake
+        // guard fires, and a waker may call back into this runtime.
+        drop(abandoned);
     }
 
     /// Stops intake, drains every queued request, and joins all threads
@@ -615,8 +668,8 @@ impl Runtime {
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.drain();
-        if let Some(dispatcher) = self.dispatcher.take() {
-            dispatcher.join().expect("dispatcher exits cleanly");
+        for worker in self.workers.drain(..) {
+            worker.join().expect("worker exits cleanly");
         }
         self.stop_exporter();
     }
@@ -628,206 +681,150 @@ impl Drop for Runtime {
     }
 }
 
-/// Groups same-matrix submissions and routes them to the least-loaded
-/// worker; drains everything already accepted before exiting.
-fn dispatcher_loop(
-    config: &RuntimeConfig,
-    intake: &Receiver<Submission>,
-    pool: &Arc<DevicePool>,
-    metrics: &Arc<MetricsRegistry>,
-    killed: &std::sync::atomic::AtomicBool,
-) {
-    // Digitisation's share of modeled compute energy, from the paper's
-    // power breakdown — splits each batch's compute energy between the
-    // analog-compute and digitise stages.
-    let adc_fraction = {
-        let breakdown = PerformanceModel::new(config.core).power_breakdown();
-        breakdown.adc_w / breakdown.total_w()
-    };
-    let outstanding: Arc<Vec<AtomicUsize>> =
-        Arc::new((0..config.devices).map(|_| AtomicUsize::new(0)).collect());
-    let mut senders = Vec::with_capacity(config.devices);
-    let mut workers = Vec::with_capacity(config.devices);
-    for w in 0..config.devices {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Batch>(config.worker_queue_depth);
-        senders.push(tx);
-        let pool = Arc::clone(pool);
-        let metrics = Arc::clone(metrics);
-        let outstanding = Arc::clone(&outstanding);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("pic-worker-{w}"))
-                .spawn(move || {
-                    // Spans opened anywhere below this worker (executor
-                    // merge, tensor compute/digitise kernels) record into
-                    // the registry's stage table.
-                    pic_obs::install_collector(Some(Arc::clone(&metrics.stages)));
-                    loop {
-                        let idle_from = Instant::now();
-                        let Ok(batch) = rx.recv() else { break };
-                        let stalled = idle_from.elapsed();
-                        if stalled >= STALL_EVENT_THRESHOLD {
-                            metrics.recorder.record(
-                                EventKind::WorkerStall,
-                                w as u64,
-                                stalled.as_nanos() as u64,
-                            );
-                        }
-                        let size = batch.group.len();
-                        metrics.workers_busy.fetch_add(1, Ordering::Relaxed);
-                        let busy_from = Instant::now();
-                        process_batch(batch, &pool, &metrics, adc_fraction);
-                        metrics
-                            .worker_busy_ns
-                            .fetch_add(busy_from.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
-                        outstanding[w].fetch_sub(size, Ordering::Relaxed);
-                    }
-                    pic_obs::install_collector(None);
-                })
-                .expect("spawn worker"),
-        );
+impl QueueState {
+    /// Whether a free worker may take a `len`-request group of
+    /// `matrix_id`: not while another worker has that matrix in a pass
+    /// and the group is short enough for that worker to take next
+    /// without a tile rewrite (at most `2 · max_batch`).
+    fn visible(&self, matrix_id: u64, len: usize, max_batch: usize) -> bool {
+        len > 2 * max_batch || !self.in_pass.contains(&Some(matrix_id))
     }
+}
 
-    // Sticky matrix→worker affinity: keep routing a matrix to the worker
-    // that last served it (whose device likely still holds its tile), and
-    // fall back to the least-loaded worker only when the sticky one has a
-    // real backlog. Combined with the pool's residency-affine checkout
-    // this is what turns repeat traffic into write-free passes.
-    let mut affinity: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut sticky_count = vec![0usize; config.devices];
-    let sticky_limit = 2 * config.max_batch;
-    // Pending work lives in per-matrix indexed queues; the configured
-    // admission policy picks which group dispatches next, and forming a
-    // batch is an O(batch) pop from that group — never a scan over the
-    // whole backlog.
-    let mut policy = config.policy.build(config.max_delay);
-    let mut pending: PendingQueues<Submission> = PendingQueues::new();
-    let mut last_dispatched: Option<u64> = None;
-    let mut pending_count: u64 = 0;
-    let mut open = true;
-    while open || !pending.is_empty() {
-        // Crash simulation ([`Runtime::kill`]): abandon the intake
-        // backlog and every pending submission — dropping their
-        // responders surfaces `WorkerLost` to the waiters.
-        if killed.load(Ordering::Acquire) {
-            while intake.try_recv().is_ok() {}
-            metrics.intake_depth.store(0, Ordering::Relaxed);
-            metrics.pending_depth.store(0, Ordering::Relaxed);
-            break;
-        }
-        if pending.is_empty() {
-            match intake.recv() {
-                Ok(s) => {
-                    metrics.intake_depth.fetch_sub(1, Ordering::Relaxed);
-                    pending.push(s);
-                    pending_count += 1;
-                }
-                Err(_) => {
-                    open = false;
-                    continue;
-                }
+/// One worker: whenever it is free it takes the next batch under the
+/// queue lock, then runs the deadline gate and the device pass
+/// unlocked. It exits once intake is closed and nothing is pending.
+fn worker_loop(
+    w: usize,
+    config: &RuntimeConfig,
+    queue: &Queue,
+    pool: &DevicePool,
+    metrics: &Arc<MetricsRegistry>,
+    adc_fraction: f64,
+) {
+    // Spans opened anywhere below this worker (executor merge, tensor
+    // compute/digitise kernels) record into the registry's stage table.
+    pic_obs::install_collector(Some(Arc::clone(&metrics.stages)));
+    let mut last: Option<u64> = None;
+    let mut state = queue.lock();
+    'serve: loop {
+        let idle_from = Instant::now();
+        let (group, matrix_id, reordered) = loop {
+            if let Some(batch) = next_batch(&mut state, w, last, config, queue, pool, metrics) {
+                drop(state);
+                break batch;
             }
-        }
-        // Pull everything already queued so the batcher sees the full
-        // backlog, not one request at a time.
-        if open {
-            while let Ok(s) = intake.try_recv() {
-                metrics.intake_depth.fetch_sub(1, Ordering::Relaxed);
-                pending.push(s);
-                pending_count += 1;
+            if !state.open && state.pending.is_empty() {
+                break 'serve;
             }
-        }
-        metrics
-            .pending_depth
-            .store(pending_count, Ordering::Relaxed);
-        let admission_timer = StageTimer::start(&metrics.stages, Stage::Admission);
-        let views = pending.views();
-        let backlog: Vec<usize> = outstanding
-            .iter()
-            .map(|o| o.load(Ordering::Relaxed))
-            .collect();
-        let ctx = DispatchContext {
-            worker_backlog: &backlog,
-            affinity: &affinity,
-            sticky_limit,
-            last_dispatched,
+            state = queue.wake.wait(state).expect("queue lock");
         };
-        let picked = policy
-            .select(&views, &ctx, Instant::now())
-            .min(views.len() - 1);
-        let matrix_id = views[picked].matrix_id;
-        let group = pending.take(matrix_id, config.max_batch);
-        debug_assert!(!group.is_empty(), "selected group has pending work");
-        drop(admission_timer);
-        pending_count -= group.len() as u64;
-        metrics
-            .pending_depth
-            .store(pending_count, Ordering::Relaxed);
-        let formed_at = Instant::now();
-        let group = reject_expired(group, formed_at, metrics);
-        if group.is_empty() {
-            continue;
-        }
-        if picked != 0 {
-            metrics.admission_reorders.fetch_add(1, Ordering::Relaxed);
+        let stalled = idle_from.elapsed();
+        if stalled >= STALL_EVENT_THRESHOLD {
             metrics
                 .recorder
-                .record(EventKind::AdmissionReorder, matrix_id, group.len() as u64);
+                .record(EventKind::WorkerStall, w as u64, stalled.as_nanos() as u64);
         }
-        for sub in &group {
-            metrics.stages.record_ns(
-                Stage::Queue,
-                formed_at.duration_since(sub.submitted_at).as_nanos() as u64,
-            );
-            if let Some(trace) = &sub.request.trace {
-                trace.collector.end(sub.trace_queue);
+        let formed_at = Instant::now();
+        let group = reject_expired(group, formed_at, metrics);
+        if !group.is_empty() {
+            if reordered {
+                metrics.admission_reorders.fetch_add(1, Ordering::Relaxed);
+                metrics
+                    .recorder
+                    .record(EventKind::AdmissionReorder, matrix_id, group.len() as u64);
             }
-        }
-        last_dispatched = Some(matrix_id);
-        metrics.batches_dispatched.fetch_add(1, Ordering::Relaxed);
-        if group.len() > 1 {
+            for sub in &group {
+                metrics.stages.record_ns(
+                    Stage::Queue,
+                    formed_at.duration_since(sub.submitted_at).as_nanos() as u64,
+                );
+                if let Some(trace) = &sub.request.trace {
+                    trace.collector.end(sub.trace_queue);
+                }
+            }
+            last = Some(matrix_id);
+            metrics.batches_dispatched.fetch_add(1, Ordering::Relaxed);
+            if group.len() > 1 {
+                metrics
+                    .requests_batched
+                    .fetch_add(group.len() as u64, Ordering::Relaxed);
+            }
+            metrics.workers_busy.fetch_add(1, Ordering::Relaxed);
+            let busy_from = Instant::now();
+            process_batch(group, pool, metrics, adc_fraction);
             metrics
-                .requests_batched
-                .fetch_add(group.len() as u64, Ordering::Relaxed);
+                .worker_busy_ns
+                .fetch_add(busy_from.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
         }
-        let worker = match affinity.get(&matrix_id) {
-            Some(&w) if outstanding[w].load(Ordering::Relaxed) <= sticky_limit => w,
-            // New (or rerouted) matrices go to the least-loaded worker,
-            // ties broken toward the one serving the fewest matrices so
-            // an idle fleet spreads the working set across all devices.
-            _ => (0..config.devices)
-                .min_by_key(|&w| (outstanding[w].load(Ordering::Relaxed), sticky_count[w]))
-                .expect("at least one worker"),
-        };
-        match affinity.insert(matrix_id, worker) {
-            Some(old) if old != worker => {
-                sticky_count[old] -= 1;
-                sticky_count[worker] += 1;
-            }
-            None => sticky_count[worker] += 1,
-            _ => {}
-        }
-        outstanding[worker].fetch_add(group.len(), Ordering::Relaxed);
-        if let Err(std::sync::mpsc::SendError(batch)) = senders[worker].send(Batch { group }) {
-            // The worker died (it cannot under normal operation); fail
-            // the batch loudly rather than dropping it silently.
-            outstanding[worker].fetch_sub(batch.group.len(), Ordering::Relaxed);
-            for sub in batch.group {
-                let _ = sub.respond.send(Err(RuntimeError::WorkerLost));
-            }
-        }
+        state = queue.lock();
+        state.in_pass[w] = None;
     }
-    drop(senders);
-    for worker in workers {
-        worker.join().expect("worker exits cleanly");
+    drop(state);
+    // The other idle workers re-check the exit condition.
+    queue.wake.notify_all();
+    pic_obs::install_collector(None);
+}
+
+/// Runs the admission policy over the groups a free worker may take and
+/// takes up to `max_batch` requests of the chosen one, marking its
+/// matrix in a pass on worker `w` and waking whoever may now proceed.
+/// Returns the batch, its matrix and whether the policy passed over an
+/// older visible group; `None` when nothing is visible.
+fn next_batch(
+    state: &mut QueueState,
+    w: usize,
+    last: Option<u64>,
+    config: &RuntimeConfig,
+    queue: &Queue,
+    pool: &DevicePool,
+    metrics: &MetricsRegistry,
+) -> Option<(Vec<Submission>, u64, bool)> {
+    let views: Vec<GroupView> = state
+        .pending
+        .views()
+        .into_iter()
+        .filter(|v| state.visible(v.matrix_id, v.len, config.max_batch))
+        .collect();
+    if views.is_empty() {
+        return None;
     }
+    let admission_timer = StageTimer::start(&metrics.stages, Stage::Admission);
+    let resident = pool.resident_matrices();
+    let ctx = DispatchContext {
+        resident: &resident,
+        last_dispatched: last,
+    };
+    let picked = state
+        .policy
+        .select(&views, &ctx, Instant::now())
+        .min(views.len() - 1);
+    let view = views[picked];
+    let was_full = state.pending.len() >= config.queue_depth;
+    let group = state.pending.take(view.matrix_id, config.max_batch);
+    debug_assert!(!group.is_empty(), "selected group has pending work");
+    drop(admission_timer);
+    state.in_pass[w] = Some(view.matrix_id);
+    metrics
+        .pending_depth
+        .store(state.pending.len() as u64, Ordering::Relaxed);
+    // A take from a full queue may unblock submitters: wake everyone.
+    // Otherwise every other visible group stays visible, and this
+    // group's rest is visible only past the spill length now that `w`
+    // runs its matrix.
+    if was_full {
+        queue.wake.notify_all();
+    } else if views.len() > 1 || view.len - group.len() > 2 * config.max_batch {
+        queue.wake.notify_one();
+    }
+    Some((group, view.matrix_id, picked != 0))
 }
 
 /// The batch-formation deadline gate: requests that expired while
 /// queued are rejected with a typed error here — before they can occupy
-/// a batch slot, a worker queue entry, or a device pass — and the still
-/// live remainder is returned. (The first gate is `Runtime::admit` for
+/// a batch slot or a device pass — and the still live remainder is
+/// returned. (The first gate is `Runtime::admit` for
 /// dead-on-arrival requests; the last is `process_batch`, covering the
 /// window between formation and execution.)
 fn reject_expired(
@@ -863,10 +860,15 @@ fn reject_expired(
 /// the outputs back out to the individual requests. `adc_fraction` is
 /// digitisation's share of modeled compute energy (from the power
 /// breakdown), used for per-stage energy attribution.
-fn process_batch(batch: Batch, pool: &DevicePool, metrics: &MetricsRegistry, adc_fraction: f64) {
+fn process_batch(
+    group: Vec<Submission>,
+    pool: &DevicePool,
+    metrics: &MetricsRegistry,
+    adc_fraction: f64,
+) {
     let now = Instant::now();
-    let mut live = Vec::with_capacity(batch.group.len());
-    for sub in batch.group {
+    let mut live = Vec::with_capacity(group.len());
+    for sub in group {
         if let Some(deadline) = sub.request.deadline.filter(|&d| d <= now) {
             metrics.rejected_deadline.fetch_add(1, Ordering::Relaxed);
             metrics.recorder.record(
@@ -1101,16 +1103,19 @@ mod tests {
     use crate::tile::{TileShape, TiledMatrix};
     use std::time::Duration;
 
-    fn small_runtime(devices: usize) -> Runtime {
-        Runtime::start(RuntimeConfig {
+    fn small_config(devices: usize) -> RuntimeConfig {
+        RuntimeConfig {
             core: TensorCoreConfig::small_demo(),
             devices,
             queue_depth: 64,
             max_batch: 4,
-            worker_queue_depth: 2,
             policy: AdmissionPolicyKind::ResidencyAware,
             max_delay: Duration::from_millis(100),
-        })
+        }
+    }
+
+    fn small_runtime(devices: usize) -> Runtime {
+        Runtime::start(small_config(devices))
     }
 
     fn matrix(out: usize, inp: usize) -> Arc<TiledMatrix> {
@@ -1235,11 +1240,13 @@ mod tests {
             assert_eq!(resp.outputs[0].len(), m.out_dim(), "request {i} rows");
             assert!(resp.cost.total_energy_j() > 0.0);
         }
-        let s = rt.metrics().snapshot();
-        assert_eq!(s.submitted, 40);
-        assert_eq!(s.completed, 40);
+        let m = rt.metrics();
+        assert_eq!(m.submitted.load(Ordering::Relaxed), 40);
+        assert_eq!(m.completed.load(Ordering::Relaxed), 40);
         assert_eq!(
-            s.rejected_deadline + s.rejected_invalid + s.rejected_queue_full,
+            m.rejected_deadline.load(Ordering::Relaxed)
+                + m.rejected_invalid.load(Ordering::Relaxed)
+                + m.rejected_queue_full.load(Ordering::Relaxed),
             0
         );
     }
@@ -1279,24 +1286,37 @@ mod tests {
         let expired = MatmulRequest::new(Arc::clone(&m), vec![vec![0.5; 4]])
             .with_deadline(Instant::now() - Duration::from_millis(1));
         // Dead on arrival: the typed error comes back synchronously —
-        // the request never reaches the intake queue.
+        // the request never reaches the pending queue.
         assert!(matches!(
             rt.submit(expired),
             Err(RuntimeError::DeadlineExpired)
         ));
-        let s = rt.metrics().snapshot();
-        assert_eq!(s.rejected_deadline, 1, "typed rejection counted");
+        let s = rt.metrics();
         assert_eq!(
-            (s.submitted, s.batches_dispatched, s.admission_reorders),
+            s.rejected_deadline.load(Ordering::Relaxed),
+            1,
+            "typed rejection counted"
+        );
+        assert_eq!(
+            (
+                s.submitted.load(Ordering::Relaxed),
+                s.batches_dispatched.load(Ordering::Relaxed),
+                s.admission_reorders.load(Ordering::Relaxed)
+            ),
             (0, 0, 0),
-            "a DOA request is charged no intake or admission work"
+            "a DOA request is charged no queue or admission work"
         );
         let generous = MatmulRequest::new(m, vec![vec![0.5; 4]])
             .with_deadline(Instant::now() + Duration::from_secs(60));
         let h = rt.submit(generous).expect("accepted");
         assert!(h.wait().is_ok(), "future deadline must not reject");
-        let s = rt.metrics().snapshot();
-        assert_eq!((s.rejected_deadline, s.completed), (1, 1));
+        assert_eq!(
+            (
+                s.rejected_deadline.load(Ordering::Relaxed),
+                s.completed.load(Ordering::Relaxed)
+            ),
+            (1, 1)
+        );
     }
 
     #[test]
@@ -1407,6 +1427,71 @@ mod tests {
     }
 
     #[test]
+    fn traced_queue_depths_stay_within_the_bound_under_concurrent_submitters() {
+        const SUBMITTERS: u64 = 4;
+        const PER: u64 = 48;
+        let rt = Runtime::start(RuntimeConfig {
+            queue_depth: 16,
+            ..small_config(2)
+        });
+        let m = matrix(10, 7);
+        // Every submitter starts at once, so the queue fills past its
+        // bound and submits race the workers' takes.
+        let start = std::sync::Barrier::new(SUBMITTERS as usize);
+        let collectors: Vec<Arc<pic_obs::TraceCollector>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..SUBMITTERS)
+                .map(|t| {
+                    let (rt, m, start) = (&rt, &m, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut accepted = Vec::new();
+                        for i in 0..PER {
+                            let id = pic_obs::TraceId::mint(t, i);
+                            let collector = pic_obs::TraceCollector::start(id, true);
+                            let ctx = pic_obs::TraceContext::new(Arc::clone(&collector));
+                            let req = MatmulRequest::new(Arc::clone(m), vec![vec![0.5; 7]])
+                                .with_trace(ctx);
+                            match rt.submit(req) {
+                                Ok(handle) => accepted.push((collector, handle)),
+                                Err(RuntimeError::QueueFull) => {}
+                                Err(e) => panic!("submitter {t} request {i}: {e}"),
+                            }
+                        }
+                        accepted
+                            .into_iter()
+                            .map(|(collector, handle)| {
+                                handle.wait().expect("served");
+                                collector
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("submitter"))
+                .collect()
+        });
+        assert!(!collectors.is_empty(), "some requests were accepted");
+        if !pic_obs::enabled() {
+            return;
+        }
+        for collector in collectors {
+            let record = collector.finish(collector.offset_ns(Instant::now()));
+            let queue = record
+                .spans
+                .iter()
+                .find(|s| s.label == "queue")
+                .expect("queue span");
+            let depth = queue.queue_depth.expect("queue depth tagged at entry");
+            assert!(
+                depth <= rt.config().queue_depth as u64,
+                "a queue span joined a backlog of {depth}, past the bound"
+            );
+        }
+    }
+
+    #[test]
     fn invalid_requests_bounce_at_the_front_door() {
         let rt = small_runtime(1);
         let m = matrix(4, 4);
@@ -1415,7 +1500,7 @@ mod tests {
             rt.submit(bad),
             Err(RuntimeError::InvalidRequest(_))
         ));
-        assert_eq!(rt.metrics().snapshot().rejected_invalid, 1);
+        assert_eq!(rt.metrics().rejected_invalid.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1516,7 +1601,6 @@ mod tests {
             devices: 1,
             queue_depth: 256,
             max_batch: 1,
-            worker_queue_depth: 1,
             policy: AdmissionPolicyKind::Fifo,
             max_delay: Duration::from_millis(100),
         });

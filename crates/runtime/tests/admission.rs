@@ -3,7 +3,8 @@
 //! bit-identity of served results (order-independence of the digital
 //! post-ADC accumulation). Plus the residency gain itself: on a queued
 //! Zipf burst, residency-aware admission lifts the tile-hit rate over
-//! FIFO's.
+//! FIFO's. And admission into the queue: `queue_depth` bounds every
+//! request no worker has taken.
 
 mod support;
 
@@ -14,7 +15,7 @@ use pic_runtime::{
 use pic_tensor::TensorCoreConfig;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,17 +39,22 @@ fn build_views(t0: Instant, deadline_ms: &[u32]) -> Vec<GroupView> {
         .collect()
 }
 
-fn context<'a>(
-    affinity: &'a HashMap<u64, usize>,
-    backlog: &'a [usize],
-    last: Option<u64>,
-) -> DispatchContext<'a> {
+fn context(resident: &[u64], last: Option<u64>) -> DispatchContext<'_> {
     DispatchContext {
-        worker_backlog: backlog,
-        affinity,
-        sticky_limit: 16,
+        resident,
         last_dispatched: last,
     }
+}
+
+/// The matrices of the views whose `warm_mask` entry is 1: the tiles
+/// idle devices hold.
+fn resident(views: &[GroupView], warm_mask: &[u32]) -> Vec<u64> {
+    views
+        .iter()
+        .zip(warm_mask)
+        .filter(|(_, &w)| w == 1)
+        .map(|(v, _)| v.matrix_id)
+        .collect()
 }
 
 proptest! {
@@ -64,15 +70,9 @@ proptest! {
     ) {
         let t0 = Instant::now();
         let views = build_views(t0, &deadlines);
-        let affinity: HashMap<u64, usize> = views
-            .iter()
-            .zip(&warm_mask)
-            .filter(|(_, &w)| w == 1)
-            .map(|(v, _)| (v.matrix_id, 0usize))
-            .collect();
-        let backlog = [0usize];
+        let resident = resident(&views, &warm_mask);
         let last = views.last().map(|v| v.matrix_id);
-        let ctx = context(&affinity, &backlog, last);
+        let ctx = context(&resident, last);
         let mut policy = ResidencyAware::new(MAX_DELAY);
         // First observation arms the starvation clock for the front…
         let _ = policy.select(&views, &ctx, t0);
@@ -91,14 +91,8 @@ proptest! {
     ) {
         let t0 = Instant::now();
         let views = build_views(t0, &deadlines);
-        let affinity: HashMap<u64, usize> = views
-            .iter()
-            .zip(&warm_mask)
-            .filter(|(_, &w)| w == 1)
-            .map(|(v, _)| (v.matrix_id, 0usize))
-            .collect();
-        let backlog = [0usize];
-        let ctx = context(&affinity, &backlog, views.last().map(|v| v.matrix_id));
+        let resident = resident(&views, &warm_mask);
+        let ctx = context(&resident, views.last().map(|v| v.matrix_id));
         let mut policy = ResidencyAware::new(MAX_DELAY);
         let picked = policy.select(&views, &ctx, t0);
         let horizon = t0 + MAX_DELAY;
@@ -126,9 +120,7 @@ proptest! {
     ) {
         let t0 = Instant::now();
         let views = build_views(t0, &vec![0u32; group_count]);
-        let affinity = HashMap::new();
-        let backlog = [0usize];
-        let ctx = context(&affinity, &backlog, None);
+        let ctx = context(&[], None);
         let mut policy = ResidencyAware::new(MAX_DELAY);
         prop_assert_eq!(policy.select(&views, &ctx, t0), 0);
         let mut fifo = AdmissionPolicyKind::Fifo.build(MAX_DELAY);
@@ -143,9 +135,7 @@ proptest! {
     ) {
         let t0 = Instant::now();
         let views = build_views(t0, &deadlines);
-        let affinity = HashMap::new();
-        let backlog = [0usize];
-        let ctx = context(&affinity, &backlog, None);
+        let ctx = context(&[], None);
         let mut edf = AdmissionPolicyKind::EarliestDeadlineFirst.build(MAX_DELAY);
         let picked = &views[edf.select(&views, &ctx, t0)];
         match views
@@ -218,7 +208,6 @@ proptest! {
                 devices: 2,
                 queue_depth: 64,
                 max_batch: 4,
-                worker_queue_depth: 2,
                 policy: kind,
                 max_delay: Duration::from_millis(50),
             });
@@ -240,9 +229,14 @@ proptest! {
                         .outputs
                 })
                 .collect();
-            let s = rt.metrics().snapshot();
-            prop_assert_eq!(s.rejected_deadline, 0, "no deadline miss under {}", kind.label());
-            prop_assert_eq!(s.completed, requests.len() as u64);
+            let m = rt.metrics();
+            prop_assert_eq!(
+                m.rejected_deadline.load(Ordering::Relaxed),
+                0,
+                "no deadline miss under {}",
+                kind.label()
+            );
+            prop_assert_eq!(m.completed.load(Ordering::Relaxed), requests.len() as u64);
             per_policy.push(outputs);
         }
         prop_assert_eq!(&per_policy[0], &per_policy[1], "fifo vs residency");
@@ -258,18 +252,17 @@ struct BurstOutcome {
 }
 
 /// Serves the whole `stream` on one paper device under `policy`, with
-/// the burst queued before the dispatcher picks its first batch: the
-/// worker is wedged and its channel filled, so the dispatcher blocks
-/// until the burst is in. The hit rate counts the burst's device passes
-/// only; each request reports its whole batch's tile counts, so a
-/// request counts `1 / batched_with` of them.
+/// the burst queued before the worker picks its first batch: the only
+/// worker is wedged on a holder request while the burst is submitted.
+/// The hit rate counts the burst's device passes only; each request
+/// reports its whole batch's tile counts, so a request counts
+/// `1 / batched_with` of them.
 ///
-/// The run is exact: with one device no pass depends on which device a
-/// worker checks out, a one-batch worker queue keeps the worker's
-/// backlog within the sticky limit, and the live requests carry no
-/// deadline and the starvation bound outlasts the test, so no choice
-/// depends on the clock. Every dispatch then follows from the queued
-/// burst alone.
+/// The run is exact: one worker takes every batch, each pick sees the
+/// whole remaining burst and the one device's tile from the previous
+/// pass, and the live requests carry no deadline and the starvation
+/// bound outlasts the test, so no choice depends on the clock. Every
+/// pick then follows from the queued burst alone.
 fn serve_queued_burst(
     policy: AdmissionPolicyKind,
     models: &[Arc<TiledMatrix>],
@@ -277,31 +270,17 @@ fn serve_queued_burst(
 ) -> BurstOutcome {
     let config = RuntimeConfig {
         devices: 1,
-        worker_queue_depth: 1,
         max_delay: Duration::from_secs(60),
         ..RuntimeConfig::paper().with_policy(policy)
     };
     let rt = Runtime::start(config);
-    let filler = {
+    let holder = {
         let codes = vec![vec![1u32; config.core.cols]; config.core.rows];
         let shape = TileShape::new(config.core.rows, config.core.cols);
-        Arc::new(TiledMatrix::from_codes(
-            &codes,
-            config.core.weight_bits,
-            shape,
-        ))
+        let matrix = TiledMatrix::from_codes(&codes, config.core.weight_bits, shape);
+        MatmulRequest::new(Arc::new(matrix), vec![vec![0.5; config.core.cols]])
     };
-    let fill = || MatmulRequest::new(Arc::clone(&filler), vec![vec![0.5; config.core.cols]]);
-    let wedged = support::WedgedWorker::hold(&rt, fill());
-    // Filler batches fill the wedged worker's channel, and the
-    // dispatcher blocks sending one more. Each is counted as dispatched
-    // just before it is sent.
-    for dispatched in 2..=2 + config.worker_queue_depth as u64 {
-        drop(rt.submit(fill()).expect("filler accepted"));
-        while rt.metrics().snapshot().batches_dispatched < dispatched {
-            std::thread::yield_now();
-        }
-    }
+    let wedged = support::WedgedWorker::hold(&rt, holder);
     let handles: Vec<_> = stream
         .iter()
         .map(|(which, inputs, expired)| {
@@ -364,5 +343,53 @@ fn residency_aware_admission_lifts_the_hit_rate_of_a_queued_zipf_burst() {
         "residency hit rate {:.3} is under 1.5x fifo's {:.3}",
         residency.hit_rate,
         fifo.hit_rate
+    );
+}
+
+/// `queue_depth` bounds every accepted request no worker has taken:
+/// with the only worker wedged, exactly `queue_depth` submits are
+/// accepted and the next is `QueueFull`; once the worker is released,
+/// every accepted request is served.
+#[test]
+fn queue_depth_bounds_the_work_no_worker_has_taken() {
+    let config = RuntimeConfig {
+        core: TensorCoreConfig::small_demo(),
+        devices: 1,
+        queue_depth: 12,
+        max_batch: 4,
+        policy: AdmissionPolicyKind::Fifo,
+        max_delay: Duration::from_millis(100),
+    };
+    let (matrices, requests) = workload(5);
+    let rt = Runtime::start(config);
+    let request = |i: usize| {
+        let (which, inputs) = &requests[i];
+        MatmulRequest::new(Arc::clone(&matrices[*which]), inputs.clone())
+    };
+    let wedged = support::WedgedWorker::hold(&rt, request(0));
+    let accepted: Vec<_> = (1..=config.queue_depth)
+        .map(|i| {
+            rt.submit(request(i))
+                .unwrap_or_else(|e| panic!("submit {i} is within the bound: {e}"))
+        })
+        .collect();
+    assert!(
+        matches!(
+            rt.submit(request(config.queue_depth + 1)),
+            Err(RuntimeError::QueueFull)
+        ),
+        "submit {} is past the bound",
+        config.queue_depth + 1
+    );
+    assert_eq!(rt.metrics().rejected_queue_full.load(Ordering::Relaxed), 1);
+    drop(wedged);
+    for (i, handle) in accepted.into_iter().enumerate() {
+        handle
+            .wait()
+            .unwrap_or_else(|e| panic!("accepted request {} was not served: {e}", i + 1));
+    }
+    assert_eq!(
+        rt.metrics().completed.load(Ordering::Relaxed),
+        1 + config.queue_depth as u64
     );
 }

@@ -6,6 +6,7 @@ use pic_runtime::{
 };
 use pic_tensor::TensorCoreConfig;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A request against one of the shared matrices: (matrix index, input batch).
@@ -55,7 +56,6 @@ fn serve(
         devices,
         queue_depth: 128,
         max_batch: 8,
-        worker_queue_depth: 2,
         policy: pic_runtime::AdmissionPolicyKind::ResidencyAware,
         max_delay: std::time::Duration::from_millis(100),
     });
@@ -73,9 +73,8 @@ fn serve(
         .into_iter()
         .map(|h| h.wait().expect("completed").outputs)
         .collect();
-    let snapshot = rt.metrics().snapshot();
     assert_eq!(
-        snapshot.completed,
+        rt.metrics().completed.load(Ordering::Relaxed),
         requests.len() as u64,
         "no lost responses"
     );

@@ -19,7 +19,6 @@ fn runtime(policy: AdmissionPolicyKind) -> Runtime {
         devices: 2,
         queue_depth: 32,
         max_batch: 4,
-        worker_queue_depth: 2,
         policy,
         max_delay: Duration::from_millis(100),
     })
@@ -104,9 +103,17 @@ fn race_drain(policy: AdmissionPolicyKind) {
         worker_lost, 0,
         "drain must flush accepted work, not abandon it"
     );
-    let s = rt.metrics().snapshot();
-    assert_eq!(s.completed, ok, "runtime accounting matches the clients'");
-    assert_eq!(s.submitted, ok, "accepted == served under drain");
+    let m = rt.metrics();
+    assert_eq!(
+        m.completed.load(Ordering::Relaxed),
+        ok,
+        "runtime accounting matches the clients'"
+    );
+    assert_eq!(
+        m.submitted.load(Ordering::Relaxed),
+        ok,
+        "accepted == served under drain"
+    );
 }
 
 #[test]

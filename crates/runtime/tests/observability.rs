@@ -8,6 +8,7 @@
 use pic_obs::{EventKind, MemorySink, Stage};
 use pic_runtime::{MatmulRequest, Runtime, RuntimeConfig, TileShape, TiledMatrix};
 use pic_tensor::TensorCoreConfig;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,7 +70,7 @@ fn stages_cover_the_request_lifecycle() {
     assert!(stages.hist(Stage::Merge).count() > 0);
     let writes = stages.hist(Stage::Write).count();
     assert!(writes >= 1, "cold start must stream tiles");
-    assert_eq!(writes, rt.metrics().snapshot().tile_writes);
+    assert_eq!(writes, rt.metrics().tile_writes.load(Ordering::Relaxed));
 }
 
 #[test]
@@ -80,26 +81,24 @@ fn stage_energy_reconciles_with_the_totals() {
         serve(&rt, &m, 10);
     }
     rt.shutdown();
-    let s = rt.metrics().snapshot();
-    assert!(s.energy_j > 0.0);
+    let metrics = rt.metrics();
+    let (energy_j, write_energy_j) = (metrics.energy_j.get(), metrics.write_energy_j.get());
+    assert!(energy_j > 0.0);
     if !pic_obs::enabled() {
         return;
     }
-    let metrics = rt.metrics();
     // Write-stage energy is the write total exactly; compute + digitize
     // recompose the compute share; the three together recompose
     // `energy_j`. Tolerances cover f64 accumulation-order differences.
     let write = metrics.stages.energy_j(Stage::Write);
     assert!(
-        (write - s.write_energy_j).abs() <= 1e-9 * s.write_energy_j.max(1e-30),
-        "write stage {write} J vs counter {} J",
-        s.write_energy_j
+        (write - write_energy_j).abs() <= 1e-9 * write_energy_j.max(1e-30),
+        "write stage {write} J vs counter {write_energy_j} J"
     );
     let staged = metrics.stage_energy_total_j();
     assert!(
-        (staged - s.energy_j).abs() <= 1e-9 * s.energy_j,
-        "stage sum {staged} J vs total {} J",
-        s.energy_j
+        (staged - energy_j).abs() <= 1e-9 * energy_j,
+        "stage sum {staged} J vs total {energy_j} J"
     );
     // Digitisation carries a real share of compute energy (the paper's
     // eoADC is a first-class power term), and the analog compute stage
@@ -154,7 +153,6 @@ fn exporter_delivers_frames_and_deltas() {
             .map(|g| g.1)
             .expect("gauge present")
     };
-    assert_eq!(gauge(&frame, "intake_depth"), 0.0);
     assert_eq!(gauge(&frame, "pending_depth"), 0.0);
     assert_eq!(gauge(&frame, "devices_idle"), 1.0);
     if pic_obs::enabled() {

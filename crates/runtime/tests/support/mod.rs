@@ -95,7 +95,8 @@ pub fn workload(
 /// This breaks [`CompletionWaker`]'s "must not block" contract on
 /// purpose. A worker fires a request's waker after the device pass,
 /// so a wedged request keeps its worker busy, and the work behind it
-/// queues in the worker's channel and then in the dispatcher.
+/// stays in the runtime's pending queue, where it counts against
+/// `queue_depth` and a kill abandons it.
 #[derive(Default)]
 struct Wedge {
     /// (a thread is parked in `wake`, the test released it)
