@@ -55,12 +55,6 @@ fn bench_tensor_core(c: &mut Criterion) {
         b.iter(|| core.matmul(black_box(&batch)))
     });
 
-    let mut serial = paper_core();
-    serial.set_parallel(false);
-    c.bench_function("tensor/matmul_16x16_batch16_serial", |b| {
-        b.iter(|| serial.matmul(black_box(&batch)))
-    });
-
     // The allocation-free serving kernel over a reused flat batch, then
     // the same call with a span collector installed: the two-phase
     // traced kernel that instrumented serving threads run.

@@ -39,7 +39,7 @@
 
 use crate::plan::{self, ShardSpec};
 use pic_net::{ServeBackend, ServeError, ServeOutcome, Submitted};
-use pic_obs::{EventKind, Frame, HistogramSnapshot, StageFrame};
+use pic_obs::{Frame, HistogramSnapshot, StageFrame};
 use pic_runtime::{
     CompletionWaker, MatmulRequest, OutputElement, RequestCost, Response, ResponseHandle, Runtime,
     RuntimeConfig, RuntimeError, TiledMatrix,
@@ -403,7 +403,7 @@ impl Coordinator {
         let mut plans = self.plans.write().expect("plans lock");
         let mut planned = self.planned_load.lock().expect("load lock");
         let mut replaced = 0usize;
-        for (&matrix_id, plan) in plans.iter_mut() {
+        for plan in plans.values_mut() {
             for shard in &mut plan.shards {
                 let Some(at) = shard.replicas.iter().position(|&n| n == node) else {
                     continue;
@@ -417,13 +417,11 @@ impl Coordinator {
                         shard.replicas.push(survivor);
                         replaced += 1;
                         self.counters.reshards.fetch_add(1, Ordering::Relaxed);
-                        self.record_event(EventKind::Reshard, matrix_id, survivor as u64);
                     }
                 }
             }
         }
         planned[node] = 0.0;
-        self.record_event(EventKind::NodeLost, node as u64, replaced as u64);
         replaced
     }
 
@@ -659,7 +657,6 @@ impl Coordinator {
                 if let Some(&survivor) = chosen.first() {
                     shard.replicas.push(survivor);
                     self.counters.reshards.fetch_add(1, Ordering::Relaxed);
-                    self.record_event(EventKind::Reshard, matrix_id, survivor as u64);
                 }
             }
             let shard = &plan.shards[shard_idx];
@@ -732,11 +729,6 @@ impl Coordinator {
                 Err(e) => return Some(Err(self.reject(e))),
             };
             retry.retry = true;
-            self.record_event(
-                EventKind::ShardRetry,
-                flight.request.matrix.id(),
-                retry.node as u64,
-            );
             if let Some(t) = trace {
                 t.collector.annotate(
                     retry.span,
@@ -831,13 +823,6 @@ impl Coordinator {
             shards: flight.shards.len(),
             retried: flight.retried,
         }
-    }
-
-    fn record_event(&self, kind: EventKind, a: u64, b: u64) {
-        // Cluster-level events land in node 0's flight recorder (the
-        // recorder is a lock-free in-memory ring — it stays valid even
-        // after the node is drained).
-        self.nodes[0].runtime.metrics().recorder.record(kind, a, b);
     }
 
     /// Rolls every node's frame plus the coordinator's own state into
@@ -1143,10 +1128,6 @@ impl ServeBackend for Coordinator {
 
     fn frame(&self) -> Frame {
         Coordinator::frame(self)
-    }
-
-    fn record_event(&self, kind: EventKind, a: u64, b: u64) {
-        Coordinator::record_event(self, kind, a, b);
     }
 
     fn shutdown(&mut self) {

@@ -404,9 +404,6 @@ fn drained_coordinator_rejects_with_shutting_down() {
 
 #[test]
 fn traced_cluster_request_nests_shard_spans_with_node_ids() {
-    if !pic_obs::enabled() {
-        return; // obs-off: tracing compiles to no-ops by design
-    }
     let coordinator = cluster(4);
     let m = matrix(12, 10, 7);
     coordinator.register(&m, 0.4);
@@ -537,9 +534,6 @@ fn assert_scrape_and_trace_show_the_fleet(
         "net_http_requests",
     ] {
         assert!(text.contains(series), "the cluster scrape carries {series}");
-    }
-    if !pic_obs::enabled() {
-        return; // obs-off: tracing compiles to no-ops by design
     }
     let list: serde_json::Value =
         serde_json::from_str(&probe.get("/v1/traces").expect("traces answer").text())

@@ -2,13 +2,12 @@
 //!
 //! The HTTP front-end doesn't care whether a matmul is executed by one
 //! in-process [`Runtime`] or fanned out across a cluster of them — it
-//! needs five capabilities: take a request without blocking and finish
+//! needs four capabilities: take a request without blocking and finish
 //! it when woken, answer the health probe, produce a metrics
-//! [`Frame`](pic_obs::Frame), record a front-end event into a flight
-//! recorder, and shut down. Those five are [`ServeBackend`]; `pic-net`
-//! implements it for [`Runtime`] and `pic-cluster` implements it for
-//! its `Coordinator`, so one front-end serves both a single node and a
-//! whole fleet.
+//! [`Frame`](pic_obs::Frame), and shut down. Those four are
+//! [`ServeBackend`]; `pic-net` implements it for [`Runtime`] and
+//! `pic-cluster` implements it for its `Coordinator`, so one front-end
+//! serves both a single node and a whole fleet.
 //!
 //! A request moves through one path: [`ServeBackend::submit`] answers
 //! [`Submitted::Ready`] or [`Submitted::Pending`] with the backend's
@@ -17,7 +16,6 @@
 //! which answers the same way. Neither call ever blocks.
 
 use crate::wire::error_status;
-use pic_obs::EventKind;
 use pic_runtime::{
     CompletionWaker, MatmulRequest, OutputElement, Response, ResponseHandle, Runtime, RuntimeError,
 };
@@ -25,7 +23,7 @@ use std::sync::Arc;
 
 /// The backend's answer to one served matmul, flattened to the fields
 /// the wire reply carries. A single-node backend copies them from its
-/// [`Response`](pic_runtime::Response); a cluster backend reduces them
+/// [`Response`]; a cluster backend reduces them
 /// over shards (outputs merged bit-identically, costs summed, `device`
 /// and `batched_with` taken from the widest shard call).
 #[derive(Debug, Clone, PartialEq)]
@@ -131,9 +129,6 @@ pub trait ServeBackend: Send + Sync + 'static {
     /// The backend's metrics frame (drives `/metrics`).
     fn frame(&self) -> pic_obs::Frame;
 
-    /// Records a front-end event into the backend's flight recorder.
-    fn record_event(&self, kind: EventKind, a: u64, b: u64);
-
     /// Drains and joins the backend. Called exactly once, after every
     /// reactor thread has exited.
     fn shutdown(&mut self);
@@ -167,10 +162,6 @@ impl ServeBackend for Runtime {
 
     fn frame(&self) -> pic_obs::Frame {
         Runtime::frame(self)
-    }
-
-    fn record_event(&self, kind: EventKind, a: u64, b: u64) {
-        self.metrics().recorder.record(kind, a, b);
     }
 
     fn shutdown(&mut self) {

@@ -127,8 +127,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One persistent (keep-alive) connection to a [`NetServer`]
-/// (`crate::NetServer`), identified to fair admission by its client id.
+/// One persistent (keep-alive) connection to a
+/// [`NetServer`](crate::NetServer), identified to fair admission by its
+/// client id.
 ///
 /// Each request goes out as one buffer in one `write_all`. With
 /// `TCP_NODELAY` set, formatting straight into the socket would send

@@ -9,16 +9,15 @@
 //!
 //! ## Transport engine
 //!
-//! Every connection is served by the **epoll reactor** ([`reactor`]):
-//! a fixed pool of event-loop threads (≈ cores) multiplexes every
-//! connection — thousands of keep-alive sockets cost fds, not
-//! threads. Requests are framed by an incremental parser
-//! ([`http::RequestParser`]) and submitted to the [`ServeBackend`]
-//! without blocking; the backend's wake lands on an eventfd-woken
-//! queue, from which the reactor polls the request on. Responses
-//! stream out under `EPOLLOUT` backpressure. Mid-request stalls are
-//! reclaimed by a timer wheel; idle keep-alive connections cost zero
-//! timer work. The crate builds on Linux only.
+//! Every connection is served by the **epoll reactor**: a fixed pool
+//! of event-loop threads (≈ cores) multiplexes every connection —
+//! thousands of keep-alive sockets cost fds, not threads. Requests
+//! are framed by an incremental parser ([`http::RequestParser`]) and
+//! submitted to the [`ServeBackend`] without blocking; the backend's
+//! wake lands on an eventfd-woken queue, from which the reactor polls
+//! the request on. Responses stream out under `EPOLLOUT` backpressure.
+//! Mid-request stalls are reclaimed by a timer wheel; idle keep-alive
+//! connections cost zero timer work. The crate builds on Linux only.
 //!
 //! ## Endpoints
 //!
@@ -42,8 +41,8 @@
 //! from [`NetConfig::trace_seed`] and a request counter. `/metrics`
 //! additionally exposes SLO burn-rate gauges (`slo_p99_burn`,
 //! `slo_error_burn` over 10 s / 60 s windows) computed from the same
-//! series that backs `GET /metrics/history`. All of it compiles to
-//! no-ops under the workspace `obs-off` feature.
+//! series that backs `GET /metrics/history`, which a ticker thread
+//! fills with one frame delta about once a second.
 //!
 //! ## Typed errors on the wire
 //!
@@ -62,10 +61,17 @@
 //!
 //! ## Graceful drain
 //!
-//! [`NetServer::shutdown`] stops accepting, lets every connection
-//! finish the request it already read, joins all threads, then drains
-//! the backend — zero accepted requests are lost and the exporter (if
-//! running) emits a final frame.
+//! [`NetServer::shutdown`] loses zero accepted requests, by ordering:
+//!
+//! 1. the stop flag raises (reactors are woken through their
+//!    eventfds) — accepting stops, idle connections close;
+//! 2. connections that already *read* (or partially read) a request
+//!    finish receiving and serving it — the backend still accepts
+//!    submissions — and then close;
+//! 3. every reactor thread joins (a reactor exits once its last
+//!    connection closes), then the series ticker;
+//! 4. only now does the backend drain and join, flushing everything it
+//!    accepted.
 
 #![warn(missing_docs)]
 

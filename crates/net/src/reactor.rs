@@ -379,7 +379,7 @@ impl<B: ServeBackend> Reactor<B> {
                 Ok((mut stream, _)) => {
                     let live = self.shared.stats.conns_active.load(Ordering::Relaxed) as usize;
                     if live >= self.max_connections {
-                        refuse_connection(&self.shared, &mut stream, live, self.max_connections);
+                        refuse_connection(&self.shared, &mut stream, self.max_connections);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);

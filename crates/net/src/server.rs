@@ -11,23 +11,14 @@
 //!
 //! ## Graceful drain
 //!
-//! [`NetServer::shutdown`] loses zero accepted requests, by ordering:
-//!
-//! 1. the stop flag raises (reactors are woken through their
-//!    eventfds) — accepting stops, idle connections close;
-//! 2. connections that already *read* (or partially read) a request
-//!    finish receiving and serving it — the backend still accepts
-//!    submissions — and then close;
-//! 3. every reactor thread joins (a reactor exits once its last
-//!    connection closes), then the series ticker;
-//! 4. only now does the backend drain and join, flushing everything it
-//!    accepted; its exporter (if any) emits one final frame.
+//! [`NetServer::shutdown`] follows the crate docs' four-step order:
+//! stop flag, in-flight requests finish, reactors and the series
+//! ticker join, and only then the backend drains.
 
 use crate::backend::ServeBackend;
 use crate::fair::{ClientStanding, FairAdmission, FairnessConfig, Shed};
 use crate::http::{HttpRequest, HttpResponse};
 use crate::wire::{ErrorReply, MatmulReply, MatmulWire};
-use pic_obs::EventKind;
 use pic_runtime::{AtomicF64, LatencyHistogram, MatmulRequest, Runtime, TiledMatrix};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,7 +38,7 @@ pub struct NetConfig {
     /// [`NetServer::local_addr`]).
     pub addr: String,
     /// Most simultaneous connections; beyond it new connections get an
-    /// immediate `503` and a [`EventKind::ConnOverload`] event.
+    /// immediate `503` (counted in `net_conns_refused`).
     pub max_connections: usize,
     /// Weighted fair admission sizing (see [`FairnessConfig`]).
     pub fairness: FairnessConfig,
@@ -275,20 +266,19 @@ impl<B: ServeBackend> NetServer<B> {
         });
         let reactor = crate::reactor::spawn(&config, listener, Arc::clone(&shared))?;
         // The series ticker folds a metrics frame into the windowed
-        // store about once a second. Under `obs-off` the store is a
-        // no-op, so the thread is not spawned at all. It starts after
-        // the reactors: had they failed, it would hold the backend.
-        let series = pic_obs::enabled().then(|| {
+        // store about once a second. It starts after the reactors: had
+        // they failed, it would hold the backend.
+        let series = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("pic-net-series".to_owned())
                 .spawn(move || series_loop(&shared))
                 .expect("spawn series ticker")
-        });
+        };
         Ok(NetServer {
             shared: Some(shared),
             reactor: Some(reactor),
-            series,
+            series: Some(series),
             addr,
         })
     }
@@ -314,8 +304,9 @@ impl<B: ServeBackend> NetServer<B> {
         self.shared.as_deref().map(|s| &s.stats)
     }
 
-    /// Gracefully drains (see the [module docs](self)) and hands the
-    /// drained backend back for post-run metrics inspection.
+    /// Gracefully drains (see the [crate docs](crate#graceful-drain))
+    /// and hands the drained backend back for post-run metrics
+    /// inspection.
     ///
     /// # Panics
     ///
@@ -374,13 +365,9 @@ fn series_loop<B: ServeBackend>(shared: &Arc<Shared<B>>) {
 pub(crate) fn refuse_connection<B: ServeBackend>(
     shared: &Shared<B>,
     stream: &mut TcpStream,
-    live: usize,
     max_connections: usize,
 ) {
     shared.stats.conns_refused.fetch_add(1, Ordering::Relaxed);
-    shared
-        .backend
-        .record_event(EventKind::ConnOverload, live as u64, 0);
     let body = serde_json::to_string(&ErrorReply {
         kind: "connection_limit".to_owned(),
         error: format!("server is at its {max_connections}-connection cap"),
@@ -525,13 +512,8 @@ fn matmul_begin<B: ServeBackend>(shared: &Shared<B>, req: &HttpRequest) -> Route
             None,
         ));
     };
-    if let Err((shed, inflight)) = shared.fair.try_admit(&client) {
+    if let Err((shed, _)) = shared.fair.try_admit(&client) {
         shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        shared.backend.record_event(
-            EventKind::ClientShed,
-            fnv1a(client.as_bytes()),
-            inflight as u64,
-        );
         let kind = match shed {
             Shed::Overloaded => "shed_overloaded",
             Shed::OverShare => "shed_over_share",
@@ -636,7 +618,8 @@ fn wire_deadline(ms: f64) -> Result<Instant, String> {
         return Err(format!("`deadline_ms` must be finite, got {ms}"));
     }
     let now = Instant::now();
-    let offset = Duration::from_secs_f64(ms.abs() / 1e3);
+    let offset = Duration::try_from_secs_f64(ms.abs() / 1e3)
+        .map_err(|_| format!("`deadline_ms` {ms} overflows"))?;
     if ms >= 0.0 {
         now.checked_add(offset)
             .ok_or_else(|| format!("`deadline_ms` {ms} overflows"))
@@ -852,27 +835,9 @@ pub(crate) fn metrics_frame<B: ServeBackend>(shared: &Shared<B>) -> pic_obs::Fra
     frame
 }
 
-/// FNV-1a over the client id — the stable `a` payload of
-/// [`EventKind::ClientShed`] events.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_is_stable_and_distinguishes_clients() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"alice"), fnv1a(b"bob"));
-        assert_eq!(fnv1a(b"alice"), fnv1a(b"alice"));
-    }
 
     #[test]
     fn wire_deadlines_resolve_past_and_future() {
@@ -882,6 +847,24 @@ mod tests {
         assert!(past <= Instant::now());
         assert!(wire_deadline(f64::NAN).is_err());
         assert!(wire_deadline(f64::INFINITY).is_err());
+        // Past `Duration`'s range: a typed error, not a panic.
+        for ms in [1e300, -1e300, f64::MAX] {
+            assert!(wire_deadline(ms).is_err(), "{ms} must be rejected");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn any_wire_deadline_resolves_or_rejects_without_panicking(
+            bits in proptest::prelude::any::<u64>(),
+        ) {
+            let ms = f64::from_bits(bits);
+            if wire_deadline(ms).is_ok() {
+                assert!(ms.is_finite(), "{ms} resolved to a deadline");
+            }
+        }
     }
 
     #[test]

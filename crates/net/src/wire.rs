@@ -133,16 +133,31 @@ mod tests {
 
     #[test]
     fn request_parse_names_the_broken_field() {
+        // 10 000 nested arrays: past the parser's nesting limit, so the
+        // parse refuses instead of recursing off the end of the stack.
+        let deep = format!(r#"{{"model":"m","inputs":{}"#, "[".repeat(10_000));
         for (body, needle) in [
             (&br#"{"inputs":[[0.1]]}"#[..], "model"),
             (&br#"{"model":"m"}"#[..], "inputs"),
             (&br#"{"model":"m","inputs":[0.1]}"#[..], "inputs[0]"),
             (&br#"{"model":"m","inputs":[["x"]]}"#[..], "inputs[0][0]"),
             (&br#"not json"#[..], "JSON"),
+            (deep.as_bytes(), "recursion limit"),
         ] {
             let err = MatmulWire::parse(body).expect_err("must reject");
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
         }
+    }
+
+    #[test]
+    fn a_one_mebibyte_model_name_parses_in_linear_time() {
+        let name = "m".repeat(1 << 20);
+        let body = format!(r#"{{"model":"{name}","inputs":[[0.5]]}}"#);
+        let started = std::time::Instant::now();
+        let wire = MatmulWire::parse(body.as_bytes()).expect("parses");
+        let took = started.elapsed();
+        assert_eq!(wire.model.len(), 1 << 20);
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
     }
 
     #[test]

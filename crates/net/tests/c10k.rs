@@ -126,13 +126,12 @@ fn a_thousand_keep_alive_connections_add_no_thread() {
         .expect("warmup serves");
     assert_eq!(warm.outputs.len(), 1, "warmup produced output");
     let serving = settled_threads();
-    // Reactors + device workers, plus the metrics series ticker when
-    // observability is compiled in.
-    let pool = REACTORS + config.devices + usize::from(pic_obs::enabled());
+    // Reactors + device workers + the metrics series ticker.
+    let pool = REACTORS + config.devices + 1;
     assert_eq!(
         serving - before,
         pool,
-        "the server runs on {REACTORS} reactors + {} workers (+ the series ticker with obs on)",
+        "the server runs on {REACTORS} reactors + {} workers + the series ticker",
         config.devices
     );
 

@@ -4,7 +4,7 @@
 //! would break any test running beside it.
 
 use pic_net::{NetConfig, NetServer, ServeBackend, ServeError, Submitted};
-use pic_obs::{EventKind, Frame};
+use pic_obs::Frame;
 use pic_runtime::{CompletionWaker, MatmulRequest};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,8 +47,6 @@ impl ServeBackend for DropFlag {
     fn frame(&self) -> Frame {
         Frame::default()
     }
-
-    fn record_event(&self, _kind: EventKind, _a: u64, _b: u64) {}
 
     fn shutdown(&mut self) {}
 }

@@ -343,9 +343,7 @@ mod tests {
         assert!(text.contains("pic_stage_write_energy_joules"));
         assert!(text.contains("pic_latency_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("pic_latency_seconds_count 1"));
-        if crate::span::compiled() {
-            assert!(text.contains("pic_stage_write_seconds_count 2"));
-        }
+        assert!(text.contains("pic_stage_write_seconds_count 2"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! bucket sums*, so every snapshot is internally consistent even while
 //! other threads keep recording. Snapshots subtract ([`HistogramSnapshot::delta`])
 //! to turn cumulative histograms into windowed ones, which is what lets
-//! an exporter compute rates between two exports.
+//! the series store compute rates between two ticks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -149,8 +149,8 @@ impl LatencyHistogram {
     }
 
     /// The samples recorded since `earlier` was snapshotted — the
-    /// windowed view an exporter needs to report rates and per-window
-    /// quantiles from a cumulative histogram.
+    /// windowed view needed to report rates and per-window quantiles
+    /// from a cumulative histogram.
     #[must_use]
     pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         self.snapshot().delta(earlier)

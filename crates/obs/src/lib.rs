@@ -2,8 +2,8 @@
 //!
 //! The runtime and tensor crates need to explain where time and energy
 //! go without paying for it on the hot path. This crate provides the
-//! four pieces, with **zero external dependencies** (consistent with
-//! the workspace's vendored-offline policy):
+//! pieces, with **zero external dependencies** (consistent with the
+//! workspace's vendored-offline policy):
 //!
 //! * [`hist`] — lock-free log₂-bucketed [`LatencyHistogram`] with
 //!   `merge`/`delta`/snapshot, and [`AtomicF64`] accumulators.
@@ -11,11 +11,8 @@
 //!   per-stage stats tables ([`StageStats`]), ambient RAII [`Span`]s
 //!   recording self time through a thread-local collector, and
 //!   explicit [`StageTimer`]s.
-//! * [`recorder`] — a seqlock ring-buffer [`FlightRecorder`] of recent
-//!   structured events with a one-shot incident latch.
-//! * [`expose`]/[`export`] — a unified [`Frame`] snapshot rendered as
-//!   Prometheus text or JSON, and [`SnapshotSink`]s for the periodic
-//!   exporter (JSON-lines file, in-memory scrape).
+//! * [`expose`] — a unified [`Frame`] snapshot rendered as Prometheus
+//!   text or JSON, with [`Frame::delta`] for windowed views.
 //! * [`trace`] — request-scoped distributed tracing: deterministic
 //!   [`TraceId`]s, span-tree [`TraceCollector`]s threaded through the
 //!   request, head + slow-outlier sampling ([`Tracer`]), and a bounded
@@ -27,27 +24,22 @@
 //! ## Cost model
 //!
 //! Recording is wait-free on the writer side: a histogram record is
-//! two relaxed `fetch_add`s, a flight-recorder event is six relaxed
-//! atomic stores, a span is two `Instant::now()` calls plus a TLS
-//! push/pop. The `obs-off` feature compiles all recording to empty
-//! inline functions for an A/B proof that instrumentation is not the
-//! bottleneck.
+//! two relaxed `fetch_add`s, a span is two `Instant::now()` calls plus
+//! a TLS push/pop. What instrumentation costs is switched at run time
+//! and measured that way: ambient spans record only on threads with an
+//! installed collector, and traces only for sampled requests.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod export;
 pub mod expose;
 pub mod hist;
-pub mod recorder;
 pub mod series;
 pub mod span;
 pub mod trace;
 
-pub use export::{events_to_json, JsonLinesSink, MemorySink, SnapshotSink};
 pub use expose::{prom_label_value, Frame, StageFrame};
 pub use hist::{AtomicF64, HistogramSnapshot, LatencyHistogram, BUCKETS};
-pub use recorder::{Event, EventKind, FlightRecorder, DEFAULT_RECORDER_CAPACITY};
 pub use series::{BurnGauges, SeriesPoint, SeriesStore};
 pub use span::{
     collector_installed, install_collector, record_stage_ns, Span, Stage, StageSnapshot,
@@ -56,10 +48,3 @@ pub use span::{
 pub use trace::{
     SpanRecord, TraceCollector, TraceContext, TraceId, TraceRecord, TraceStore, Tracer,
 };
-
-/// Whether instrumentation is compiled in (`false` when the `obs-off`
-/// feature is enabled).
-#[must_use]
-pub const fn enabled() -> bool {
-    span::compiled()
-}

@@ -13,9 +13,6 @@
 //! 1.0 means the window consumed error budget exactly as fast as the
 //! budget allows. Alerting on short-window burn > threshold is the
 //! standard multi-window burn-rate pattern.
-//!
-//! Under `obs-off`, [`SeriesStore::push`] discards its frame and
-//! every read-side call reports an empty series.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -86,11 +83,8 @@ impl SeriesStore {
 
     /// Ingests one cumulative frame: stores its delta against the
     /// previous push (the first push is stored as-is, covering
-    /// "since start"). No-op under `obs-off`.
+    /// "since start").
     pub fn push(&self, frame: Frame) {
-        if !crate::enabled() {
-            return;
-        }
         let mut inner = self.inner.lock().unwrap();
         let delta = match &inner.last {
             Some(last) => frame.delta(last),
@@ -237,10 +231,6 @@ mod tests {
     use super::*;
     use crate::hist::LatencyHistogram;
 
-    fn compiled() -> bool {
-        !cfg!(feature = "obs-off")
-    }
-
     fn frame(at_s: f64, ok: u64, err: u64, latency_ns: &[u64]) -> Frame {
         let h = LatencyHistogram::new();
         for &ns in latency_ns {
@@ -260,11 +250,6 @@ mod tests {
         let store = SeriesStore::new(8);
         store.push(frame(1.0, 10, 0, &[1_000]));
         store.push(frame(2.0, 25, 1, &[1_000, 2_000]));
-        if !compiled() {
-            assert!(store.is_empty());
-            assert!(store.window(8).is_none());
-            return;
-        }
         assert_eq!(store.len(), 2);
         let points = store.recent(8);
         assert_eq!(points[0].delta.counters[0], ("replies_ok", 10));
@@ -275,9 +260,6 @@ mod tests {
 
     #[test]
     fn ring_caps_and_window_sums() {
-        if !compiled() {
-            return;
-        }
         let store = SeriesStore::new(3);
         for t in 1..=5u64 {
             // Cumulative inputs: tick t has seen t samples in total.
@@ -298,9 +280,6 @@ mod tests {
 
     #[test]
     fn burn_rates_scale_with_the_slo() {
-        if !compiled() {
-            return;
-        }
         let store = SeriesStore::new(8);
         store.push(frame(1.0, 0, 0, &[]));
         // Tick 2: 90 ok + 10 err, latencies ~1 ms.
@@ -333,9 +312,6 @@ mod tests {
 
     #[test]
     fn history_json_is_balanced_and_labelled() {
-        if !compiled() {
-            return;
-        }
         let store = SeriesStore::new(4);
         store.push(frame(1.0, 1, 0, &[500]));
         store.push(frame(2.0, 3, 0, &[700]));

@@ -17,11 +17,11 @@
 //!   time** (own elapsed minus enclosed child spans), so nested spans
 //!   never double-count a nanosecond. On a thread with no collector a
 //!   span is a no-op.
-//!
-//! With the `obs-off` feature both APIs compile to empty inlined
-//! no-ops: zero branches, zero clock reads on the hot path.
 
 use crate::hist::{AtomicF64, HistogramSnapshot, LatencyHistogram};
+use std::cell::RefCell;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One stage of the request lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,23 +109,15 @@ impl StageStats {
         StageStats::default()
     }
 
-    /// Records `nanos` of wall-clock time against `stage`. No-op under
-    /// `obs-off`.
+    /// Records `nanos` of wall-clock time against `stage`.
     #[inline]
     pub fn record_ns(&self, stage: Stage, nanos: u64) {
-        if cfg!(feature = "obs-off") {
-            return;
-        }
         self.cells[stage as usize].hist.record(nanos);
     }
 
-    /// Attributes `joules` of modeled energy to `stage`. No-op under
-    /// `obs-off`.
+    /// Attributes `joules` of modeled energy to `stage`.
     #[inline]
     pub fn add_energy_j(&self, stage: Stage, joules: f64) {
-        if cfg!(feature = "obs-off") {
-            return;
-        }
         self.cells[stage as usize].energy_j.add(joules);
     }
 
@@ -161,146 +153,96 @@ impl StageStats {
     }
 }
 
-/// Whether instrumentation is compiled in (`false` under `obs-off`).
+/// One open span on the thread's stack.
+struct Open {
+    stage: Stage,
+    started: Instant,
+    child_ns: u64,
+}
+
+thread_local! {
+    static COLLECTOR: RefCell<Option<Arc<StageStats>>> = const { RefCell::new(None) };
+    static STACK: RefCell<Vec<Open>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Installs (or clears) this thread's ambient collector.
+pub fn install_collector(stats: Option<Arc<StageStats>>) {
+    COLLECTOR.with(|c| *c.borrow_mut() = stats);
+}
+
+/// Whether this thread currently has a collector installed.
 #[must_use]
-pub const fn compiled() -> bool {
-    !cfg!(feature = "obs-off")
+pub fn collector_installed() -> bool {
+    COLLECTOR.with(|c| c.borrow().is_some())
 }
 
-#[cfg(not(feature = "obs-off"))]
-mod ambient {
-    use super::{Stage, StageStats};
-    use std::cell::RefCell;
-    use std::sync::Arc;
-    use std::time::Instant;
+/// Credits `ns` of self time for `stage` directly to this thread's
+/// collector — the lightweight alternative to a [`Span`] pair for
+/// straight-line phases the caller already timed with its own clock
+/// reads. The time also counts as child time of the innermost open
+/// span (if any), so enclosing spans' self-time attribution stays
+/// exact. A no-op on threads with no collector installed.
+pub fn record_stage_ns(stage: Stage, ns: u64) {
+    COLLECTOR.with(|c| {
+        if let Some(stats) = c.borrow().as_ref() {
+            stats.record_ns(stage, ns);
+        }
+    });
+    STACK.with(|s| {
+        if let Some(parent) = s.borrow_mut().last_mut() {
+            parent.child_ns += ns;
+        }
+    });
+}
 
-    /// One open span on the thread's stack.
-    struct Open {
-        stage: Stage,
-        started: Instant,
-        child_ns: u64,
-    }
+/// An RAII span recording self time into the thread's collector.
+#[derive(Debug)]
+#[must_use = "a span records on drop; binding it to _ drops it immediately"]
+pub struct Span {
+    active: bool,
+}
 
-    thread_local! {
-        static COLLECTOR: RefCell<Option<Arc<StageStats>>> = const { RefCell::new(None) };
-        static STACK: RefCell<Vec<Open>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// Installs (or clears) this thread's ambient collector.
-    pub fn install_collector(stats: Option<Arc<StageStats>>) {
-        COLLECTOR.with(|c| *c.borrow_mut() = stats);
-    }
-
-    /// Whether this thread currently has a collector installed.
-    #[must_use]
-    pub fn collector_installed() -> bool {
-        COLLECTOR.with(|c| c.borrow().is_some())
-    }
-
-    /// Credits `ns` of self time for `stage` directly to this thread's
-    /// collector — the lightweight alternative to a [`Span`] pair for
-    /// straight-line phases the caller already timed with its own clock
-    /// reads. The time also counts as child time of the innermost open
-    /// span (if any), so enclosing spans' self-time attribution stays
-    /// exact. A no-op on threads with no collector installed.
-    pub fn record_stage_ns(stage: Stage, ns: u64) {
-        COLLECTOR.with(|c| {
-            if let Some(stats) = c.borrow().as_ref() {
-                stats.record_ns(stage, ns);
-            }
-        });
+impl Span {
+    /// Opens a span for `stage`; a no-op on threads with no
+    /// installed collector.
+    #[inline]
+    pub fn enter(stage: Stage) -> Span {
+        if !collector_installed() {
+            return Span { active: false };
+        }
         STACK.with(|s| {
-            if let Some(parent) = s.borrow_mut().last_mut() {
-                parent.child_ns += ns;
+            s.borrow_mut().push(Open {
+                stage,
+                started: Instant::now(),
+                child_ns: 0,
+            })
+        });
+        Span { active: true }
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if !self.active {
+            return;
+        }
+        STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            let open = stack.pop().expect("span stack underflow");
+            let total = open.started.elapsed().as_nanos() as u64;
+            let self_ns = total.saturating_sub(open.child_ns);
+            if let Some(parent) = stack.last_mut() {
+                parent.child_ns += total;
             }
+            drop(stack);
+            COLLECTOR.with(|c| {
+                if let Some(stats) = c.borrow().as_ref() {
+                    stats.record_ns(open.stage, self_ns);
+                }
+            });
         });
     }
-
-    /// An RAII span recording self time into the thread's collector.
-    #[derive(Debug)]
-    #[must_use = "a span records on drop; binding it to _ drops it immediately"]
-    pub struct Span {
-        active: bool,
-    }
-
-    impl Span {
-        /// Opens a span for `stage`; a no-op on threads with no
-        /// installed collector.
-        #[inline]
-        pub fn enter(stage: Stage) -> Span {
-            if !collector_installed() {
-                return Span { active: false };
-            }
-            STACK.with(|s| {
-                s.borrow_mut().push(Open {
-                    stage,
-                    started: Instant::now(),
-                    child_ns: 0,
-                })
-            });
-            Span { active: true }
-        }
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            if !self.active {
-                return;
-            }
-            STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                let open = stack.pop().expect("span stack underflow");
-                let total = open.started.elapsed().as_nanos() as u64;
-                let self_ns = total.saturating_sub(open.child_ns);
-                if let Some(parent) = stack.last_mut() {
-                    parent.child_ns += total;
-                }
-                drop(stack);
-                COLLECTOR.with(|c| {
-                    if let Some(stats) = c.borrow().as_ref() {
-                        stats.record_ns(open.stage, self_ns);
-                    }
-                });
-            });
-        }
-    }
 }
-
-#[cfg(feature = "obs-off")]
-mod ambient {
-    use super::{Stage, StageStats};
-    use std::sync::Arc;
-
-    /// No-op under `obs-off`.
-    #[inline]
-    pub fn install_collector(_stats: Option<Arc<StageStats>>) {}
-
-    /// Always `false` under `obs-off`.
-    #[inline]
-    #[must_use]
-    pub fn collector_installed() -> bool {
-        false
-    }
-
-    /// No-op under `obs-off`.
-    #[inline]
-    pub fn record_stage_ns(_stage: Stage, _ns: u64) {}
-
-    /// Zero-sized no-op span under `obs-off`.
-    #[derive(Debug)]
-    #[must_use = "a span records on drop; binding it to _ drops it immediately"]
-    pub struct Span;
-
-    impl Span {
-        /// No-op under `obs-off`.
-        #[inline]
-        pub fn enter(_stage: Stage) -> Span {
-            Span
-        }
-    }
-}
-
-pub use ambient::{collector_installed, install_collector, record_stage_ns, Span};
 
 /// An explicit RAII stage timer: records its wall-clock lifetime into
 /// the given [`StageStats`] on drop. Unlike [`Span`] it needs no
@@ -310,40 +252,23 @@ pub use ambient::{collector_installed, install_collector, record_stage_ns, Span}
 #[derive(Debug)]
 #[must_use = "a timer records on drop; binding it to _ drops it immediately"]
 pub struct StageTimer<'a> {
-    #[cfg(not(feature = "obs-off"))]
     stats: &'a StageStats,
-    #[cfg(not(feature = "obs-off"))]
     stage: Stage,
-    #[cfg(not(feature = "obs-off"))]
-    started: std::time::Instant,
-    #[cfg(feature = "obs-off")]
-    _marker: std::marker::PhantomData<&'a StageStats>,
+    started: Instant,
 }
 
 impl<'a> StageTimer<'a> {
     /// Starts timing `stage` against `stats`.
     #[inline]
     pub fn start(stats: &'a StageStats, stage: Stage) -> StageTimer<'a> {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let _ = (&stats, stage);
-            StageTimer {
-                stats,
-                stage,
-                started: std::time::Instant::now(),
-            }
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = (stats, stage);
-            StageTimer {
-                _marker: std::marker::PhantomData,
-            }
+        StageTimer {
+            stats,
+            stage,
+            started: Instant::now(),
         }
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
 impl Drop for StageTimer<'_> {
     fn drop(&mut self) {
         self.stats
@@ -354,7 +279,6 @@ impl Drop for StageTimer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn stage_labels_are_stable_and_distinct() {
@@ -374,17 +298,12 @@ mod tests {
         stats.record_ns(Stage::Write, 2_000);
         stats.add_energy_j(Stage::Write, 1e-12);
         stats.add_energy_j(Stage::Compute, 2e-12);
-        if compiled() {
-            assert_eq!(stats.hist(Stage::Write).count(), 2);
-            assert!((stats.energy_j(Stage::Write) - 1e-12).abs() < 1e-24);
-            assert!((stats.total_energy_j() - 3e-12).abs() < 1e-24);
-            let snap = stats.snapshot();
-            assert_eq!(snap.len(), STAGE_COUNT);
-            assert_eq!(snap[Stage::Write as usize].hist.count(), 2);
-        } else {
-            assert_eq!(stats.hist(Stage::Write).count(), 0);
-            assert_eq!(stats.total_energy_j(), 0.0);
-        }
+        assert_eq!(stats.hist(Stage::Write).count(), 2);
+        assert!((stats.energy_j(Stage::Write) - 1e-12).abs() < 1e-24);
+        assert!((stats.total_energy_j() - 3e-12).abs() < 1e-24);
+        let snap = stats.snapshot();
+        assert_eq!(snap.len(), STAGE_COUNT);
+        assert_eq!(snap[Stage::Write as usize].hist.count(), 2);
     }
 
     #[test]
@@ -394,11 +313,7 @@ mod tests {
             let _t = StageTimer::start(&stats, Stage::Admission);
             std::hint::black_box(());
         }
-        if compiled() {
-            assert_eq!(stats.hist(Stage::Admission).count(), 1);
-        } else {
-            assert_eq!(stats.hist(Stage::Admission).count(), 0);
-        }
+        assert_eq!(stats.hist(Stage::Admission).count(), 1);
     }
 
     #[test]
@@ -414,18 +329,11 @@ mod tests {
             let _span = Span::enter(Stage::Compute);
         }
         install_collector(None);
-        if compiled() {
-            assert_eq!(stats.hist(Stage::Compute).count(), 1);
-        } else {
-            assert_eq!(stats.hist(Stage::Compute).count(), 0);
-        }
+        assert_eq!(stats.hist(Stage::Compute).count(), 1);
     }
 
     #[test]
     fn nested_spans_record_self_time_not_total() {
-        if !compiled() {
-            return;
-        }
         let stats = Arc::new(StageStats::new());
         install_collector(Some(Arc::clone(&stats)));
         {
@@ -448,9 +356,6 @@ mod tests {
 
     #[test]
     fn collector_is_per_thread() {
-        if !compiled() {
-            return;
-        }
         let stats = Arc::new(StageStats::new());
         install_collector(Some(Arc::clone(&stats)));
         let handle = std::thread::spawn(|| {

@@ -18,9 +18,6 @@
 //! span carries its stage label, wall time, modeled energy, queue
 //! depth at entry, owning node, and free-form annotations (retries,
 //! batching decisions).
-//!
-//! Under `obs-off` every method compiles to a no-op and
-//! [`Tracer::mint`] never allocates a collector.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -190,9 +187,6 @@ impl TraceCollector {
 
     /// Opens a span now; returns its index for [`TraceCollector::end`].
     pub fn begin(&self, label: &'static str, parent: Option<u32>) -> Option<u32> {
-        if !crate::enabled() {
-            return None;
-        }
         let start_ns = self.offset_ns(Instant::now());
         Some(self.push(SpanRecord {
             label,
@@ -226,9 +220,6 @@ impl TraceCollector {
         start: Instant,
         end: Instant,
     ) -> Option<u32> {
-        if !crate::enabled() {
-            return None;
-        }
         let start_ns = self.offset_ns(start);
         let end_ns = self.offset_ns(end).max(start_ns);
         Some(self.push(SpanRecord {
@@ -252,9 +243,6 @@ impl TraceCollector {
         start_ns: u64,
         end_ns: u64,
     ) -> Option<u32> {
-        if !crate::enabled() {
-            return None;
-        }
         Some(self.push(SpanRecord {
             label,
             parent: parent.or(Some(0)),
@@ -301,9 +289,6 @@ impl TraceCollector {
     }
 
     fn update(&self, idx: Option<u32>, f: impl FnOnce(&mut SpanRecord)) {
-        if !crate::enabled() {
-            return;
-        }
         let Some(idx) = idx else { return };
         let mut spans = self.spans.lock().unwrap();
         if let Some(span) = spans.get_mut(idx as usize) {
@@ -562,12 +547,9 @@ impl Tracer {
     /// Called once per request: advances the counter and returns a
     /// collector when this request should be traced (head-sampled, or
     /// slow-capture is armed). Returns `None` — no allocation — for
-    /// unsampled requests and always under `obs-off`.
+    /// unsampled requests.
     pub fn mint(&self) -> Option<Arc<TraceCollector>> {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        if !crate::enabled() {
-            return None;
-        }
         let head = self.sample_every > 0 && n.is_multiple_of(self.sample_every);
         if !head && !self.slow_capture {
             return None;
@@ -584,9 +566,6 @@ impl Tracer {
         wall: Duration,
         slow: Option<Duration>,
     ) -> bool {
-        if !crate::enabled() {
-            return false;
-        }
         let keep = collector.head_sampled || slow.is_some_and(|t| wall > t);
         if keep {
             self.store
@@ -599,10 +578,6 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn compiled() -> bool {
-        !cfg!(feature = "obs-off")
-    }
 
     #[test]
     fn trace_ids_are_deterministic_and_distinct() {
@@ -632,10 +607,6 @@ mod tests {
     fn head_sampling_follows_the_rate() {
         let tracer = Tracer::new(1, 4, 16, false);
         let sampled: Vec<bool> = (0..8).map(|_| tracer.mint().is_some()).collect();
-        if !compiled() {
-            assert!(sampled.iter().all(|s| !s));
-            return;
-        }
         assert_eq!(
             sampled,
             vec![true, false, false, false, true, false, false, false]
@@ -645,9 +616,6 @@ mod tests {
 
     #[test]
     fn slow_capture_mints_every_request_but_keeps_only_outliers() {
-        if !compiled() {
-            return;
-        }
         let tracer = Tracer::new(1, 0, 16, true);
         let c = tracer.mint().expect("slow-capture arms every request");
         assert!(!c.head_sampled());
@@ -670,9 +638,6 @@ mod tests {
 
     #[test]
     fn span_tree_nests_and_self_times_telescope() {
-        if !compiled() {
-            return;
-        }
         let c = TraceCollector::start(TraceId::mint(0, 0), true);
         let admit = c.span_offsets("admit", Some(0), 0, 100);
         let queue = c.span_offsets("queue", Some(0), 100, 400);
@@ -700,9 +665,6 @@ mod tests {
 
     #[test]
     fn pre_epoch_instants_clamp_to_zero() {
-        if !compiled() {
-            return;
-        }
         let before = Instant::now();
         std::thread::sleep(Duration::from_millis(1));
         let c = TraceCollector::start(TraceId::mint(0, 1), true);
@@ -713,9 +675,6 @@ mod tests {
 
     #[test]
     fn store_ring_overwrites_oldest_and_finds_by_id() {
-        if !compiled() {
-            return;
-        }
         let store = TraceStore::new(2);
         for n in 0..3u64 {
             let c = TraceCollector::start(TraceId::mint(5, n), true);
@@ -731,20 +690,5 @@ mod tests {
         let json = store.summaries_json(8);
         assert!(json.contains("\"stored\":3"));
         assert!(json.contains(&TraceId::mint(5, 2).to_hex()));
-    }
-
-    #[test]
-    fn obs_off_mints_nothing_and_records_nothing() {
-        if compiled() {
-            return;
-        }
-        let tracer = Tracer::new(1, 1, 4, true);
-        assert!(tracer.mint().is_none());
-        assert_eq!(tracer.minted(), 1);
-        let c = TraceCollector::start(TraceId::mint(0, 0), true);
-        assert_eq!(c.begin("admit", None), None);
-        assert_eq!(c.span_offsets("queue", None, 0, 5), None);
-        let record = c.finish(100);
-        assert_eq!(record.spans.len(), 1);
     }
 }

@@ -20,11 +20,39 @@
 //! * [`MetricsRegistry`] counts everything in atomics — with per-stage
 //!   latency/energy attribution (`pic-obs` spans through
 //!   submit → queue → admission → write → compute → digitize → merge →
-//!   respond), a flight recorder of recent structured events, one
-//!   Prometheus/JSON exposition [`Frame`](pic_obs::Frame) via
-//!   [`Runtime::frame`] that every reader uses, and a periodic exporter
-//!   ([`Runtime::spawn_exporter`]). Building with the `obs-off` feature
-//!   compiles all instrumentation to no-ops.
+//!   respond) and one Prometheus/JSON exposition
+//!   [`Frame`](pic_obs::Frame) via [`Runtime::frame`] that every reader
+//!   uses.
+//!
+//! ## Data path
+//!
+//! ```text
+//! submit() ──▶ pending queue ◀── worker (one per device): when free, runs
+//!              (one Mutex +       the admission policy and takes up to
+//!               Condvar; ≤        max_batch same-matrix requests
+//!               queue_depth)              │
+//!                                         ▼
+//!                               DevicePool::acquire_for
+//!                               (residency-affine checkout)
+//!                                         │
+//!                                         ▼
+//!                               TileExecutor::execute ──▶ ResponseHandle
+//! ```
+//!
+//! Everything is std threads, one mutex and one condvar — no async
+//! runtime, no external dependencies. A request crosses two threads:
+//! its submitter and the worker that serves it. Every accepted request
+//! no worker has taken counts against `queue_depth`, so overload
+//! surfaces as a typed [`RuntimeError::QueueFull`] at the edge instead
+//! of unbounded memory growth; deadlines are enforced at submit, at
+//! batch formation and again before the device pass with
+//! [`RuntimeError::DeadlineExpired`]; dropping the [`Runtime`] drains
+//! accepted work and joins every thread.
+//!
+//! Residency steers the pull: the admission policy reads which matrices
+//! idle devices hold from the pool's index, and a free worker leaves a
+//! short group (at most `2 · max_batch` requests) to the worker already
+//! running its matrix, which takes it next without a tile rewrite.
 //!
 //! ```
 //! use pic_runtime::{MatmulRequest, Runtime, RuntimeConfig, TileShape, TiledMatrix};

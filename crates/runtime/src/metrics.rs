@@ -1,10 +1,10 @@
 //! Lock-free serving metrics: counters, latency histograms, per-stage
-//! statistics, energy, and the flight recorder.
+//! statistics and energy.
 //!
 //! Workers record into atomics (no locks on the hot path), and
 //! [`MetricsRegistry::frame`] builds the one [`pic_obs::Frame`] every
-//! reader uses: the Prometheus/JSON exposition layer, the periodic
-//! exporter and the benchmark's scrape.
+//! reader uses: the Prometheus/JSON exposition layer, `pic-net`'s
+//! series ticker and the benchmark's scrape.
 //!
 //! The histogram and float-accumulator primitives live in `pic-obs`
 //! (re-exported here for compatibility); this module owns the
@@ -12,7 +12,7 @@
 
 pub use pic_obs::{AtomicF64, LatencyHistogram};
 
-use pic_obs::{FlightRecorder, Frame, Stage, StageFrame, StageStats};
+use pic_obs::{Frame, Stage, StageFrame, StageStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,8 +53,6 @@ pub struct MetricsRegistry {
     /// Per-stage wall-clock histograms and modeled energy attribution
     /// (shared with worker threads as their ambient span collector).
     pub stages: Arc<StageStats>,
-    /// Ring buffer of recent structured events for post-mortem dumps.
-    pub recorder: Arc<FlightRecorder>,
     /// Live gauge: accepted requests no worker has taken yet (at most
     /// the runtime's `queue_depth`).
     pub pending_depth: AtomicU64,
@@ -87,7 +85,6 @@ impl Default for MetricsRegistry {
             write_energy_j: AtomicF64::new(),
             device_time_s: AtomicF64::new(),
             stages: Arc::new(StageStats::new()),
-            recorder: Arc::new(FlightRecorder::default()),
             pending_depth: AtomicU64::new(0),
             workers_busy: AtomicU64::new(0),
             worker_busy_ns: AtomicU64::new(0),
@@ -169,8 +166,6 @@ impl MetricsRegistry {
                     "worker_busy_ns",
                     self.worker_busy_ns.load(Ordering::Relaxed),
                 ),
-                ("recorder_events", self.recorder.recorded()),
-                ("recorder_dropped_events", self.recorder.dropped()),
             ],
             gauges,
             stages: self
@@ -202,7 +197,6 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pic_obs::EventKind;
 
     #[test]
     fn derived_gauges_are_omitted_when_undefined() {
@@ -254,36 +248,13 @@ mod tests {
         assert_eq!(f.stages.len(), pic_obs::STAGE_COUNT);
         assert_eq!(f.hists[0].0, "latency");
         assert_eq!(f.hists[0].1.count(), 1);
-        if pic_obs::enabled() {
-            let compute = &f.stages[pic_obs::Stage::Compute as usize];
-            assert_eq!(compute.hist.count(), 1);
-            assert!((compute.energy_j - 1e-12).abs() < 1e-24);
-            assert!((m.stage_energy_total_j() - 1e-12).abs() < 1e-24);
-        }
+        let compute = &f.stages[pic_obs::Stage::Compute as usize];
+        assert_eq!(compute.hist.count(), 1);
+        assert!((compute.energy_j - 1e-12).abs() < 1e-24);
+        assert!((m.stage_energy_total_j() - 1e-12).abs() < 1e-24);
         // Renderers accept the frame end to end.
         assert!(f.to_prometheus("pic").contains("pic_requests_completed 2"));
         assert!(f.to_json().contains("\"requests_completed\":2"));
-    }
-
-    #[test]
-    fn registry_recorder_is_shared_and_dumpable() {
-        let m = MetricsRegistry::default();
-        m.recorder.record(EventKind::QueueFullRejected, 9, 0);
-        if pic_obs::enabled() {
-            let events = m.recorder.dump();
-            assert_eq!(events.len(), 1);
-            assert_eq!(events[0].kind, EventKind::QueueFullRejected);
-        }
-        let f = m.frame();
-        let counter = |n: &str| {
-            f.counters
-                .iter()
-                .find(|(name, _)| *name == n)
-                .map(|&(_, v)| v)
-        };
-        // The ring is far from full, so nothing has been dropped yet.
-        assert_eq!(counter("recorder_dropped_events"), Some(0));
-        assert!(counter("recorder_events").is_some());
     }
 
     /// 8 writer threads hammer one registry while a reader builds

@@ -1,35 +1,6 @@
 //! The concurrent serving runtime: one bounded pending queue that the
 //! worker threads pull their own batches from, over a shared device
-//! pool.
-//!
-//! ```text
-//! submit() ──▶ pending queue ◀── worker (one per device): when free, runs
-//!              (one Mutex +       the admission policy and takes up to
-//!               Condvar; ≤        max_batch same-matrix requests
-//!               queue_depth)              │
-//!                                         ▼
-//!                               DevicePool::acquire_for
-//!                               (residency-affine checkout)
-//!                                         │
-//!                                         ▼
-//!                               TileExecutor::execute ──▶ ResponseHandle
-//! ```
-//!
-//! Everything is std threads, one mutex and one condvar — no async
-//! runtime, no external dependencies. A request crosses two threads:
-//! its submitter and the worker that serves it.
-//! Every accepted request no worker has taken counts against
-//! `queue_depth`, so overload surfaces as a typed
-//! [`RuntimeError::QueueFull`] at the edge instead of unbounded memory
-//! growth; deadlines are enforced at submit, at batch formation and
-//! again before the device pass with [`RuntimeError::DeadlineExpired`];
-//! dropping the [`Runtime`] drains accepted work and joins every
-//! thread.
-//!
-//! Residency steers the pull: the admission policy reads which matrices
-//! idle devices hold from the pool's index, and a free worker leaves a
-//! short group (at most `2 · max_batch` requests) to the worker already
-//! running its matrix, which takes it next without a tile rewrite.
+//! pool. The crate docs draw the data path.
 
 use crate::admission::{
     AdmissionPolicy, AdmissionPolicyKind, DispatchContext, GroupView, PendingItem, PendingQueues,
@@ -37,7 +8,7 @@ use crate::admission::{
 use crate::metrics::MetricsRegistry;
 use crate::pool::DevicePool;
 use crate::request::{MatmulRequest, RequestCost, Response, RuntimeError};
-use pic_obs::{EventKind, Frame, SnapshotSink, Stage, StageTimer};
+use pic_obs::{Frame, Stage, StageTimer};
 use pic_tensor::performance::PerformanceModel;
 use pic_tensor::TensorCoreConfig;
 use std::cell::Cell;
@@ -45,10 +16,6 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// A worker that waited idle at least this long records a
-/// [`EventKind::WorkerStall`] in the flight recorder.
-const STALL_EVENT_THRESHOLD: Duration = Duration::from_millis(1);
 
 /// Sizing of a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -282,13 +249,6 @@ impl ResponseHandle {
     }
 }
 
-/// Tells the exporter thread to emit a final frame and exit.
-#[derive(Debug, Default)]
-struct ExporterStop {
-    stopped: Mutex<bool>,
-    wake: Condvar,
-}
-
 /// The pending queue's state: everything submitters and workers share,
 /// behind one lock.
 struct QueueState {
@@ -333,13 +293,12 @@ impl Queue {
     }
 }
 
-/// The serving runtime. See the [module docs](self) for the data path.
+/// The serving runtime. See the [crate docs](crate#data-path) for the
+/// data path.
 #[derive(Debug)]
 pub struct Runtime {
     queue: Arc<Queue>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    exporter: Option<std::thread::JoinHandle<()>>,
-    exporter_stop: Arc<ExporterStop>,
     metrics: Arc<MetricsRegistry>,
     pool: Arc<DevicePool>,
     config: RuntimeConfig,
@@ -390,52 +349,35 @@ impl Runtime {
         Runtime {
             queue,
             workers,
-            exporter: None,
-            exporter_stop: Arc::new(ExporterStop::default()),
             metrics,
             pool,
             config,
         }
     }
 
-    /// Spawns the periodic snapshot exporter: every `interval` it hands
-    /// the sink a cumulative [`Frame`] plus the windowed delta since the
-    /// previous export, forwards the flight-recorder dump once when the
-    /// incident latch trips (first deadline miss), and emits one final
-    /// frame at shutdown. At most one exporter runs; a second call
-    /// replaces the first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the exporter thread cannot spawn.
-    pub fn spawn_exporter(&mut self, interval: Duration, sink: Arc<dyn SnapshotSink>) {
-        self.stop_exporter();
-        self.exporter_stop = Arc::new(ExporterStop::default());
-        let stop = Arc::clone(&self.exporter_stop);
-        let metrics = Arc::clone(&self.metrics);
-        let pool = Arc::clone(&self.pool);
-        self.exporter = Some(
-            std::thread::Builder::new()
-                .name("pic-exporter".to_owned())
-                .spawn(move || exporter_loop(&stop, interval, &metrics, &pool, sink.as_ref()))
-                .expect("spawn exporter"),
-        );
-    }
-
-    /// The unified exposition frame: registry counters/gauges/stages
-    /// plus pool-level device gauges. Render it with
-    /// [`Frame::to_prometheus`] or [`Frame::to_json`].
+    /// The unified exposition frame: the registry's counters, gauges
+    /// and stages plus pool-level gauges — idle device count, how many
+    /// idle devices hold a live resident tile, and a 0/1 residency gauge
+    /// per idle device. Render it with [`Frame::to_prometheus`] or
+    /// [`Frame::to_json`].
     #[must_use]
     pub fn frame(&self) -> Frame {
-        runtime_frame(&self.metrics, &self.pool)
-    }
-
-    fn stop_exporter(&mut self) {
-        if let Some(exporter) = self.exporter.take() {
-            *self.exporter_stop.stopped.lock().expect("exporter lock") = true;
-            self.exporter_stop.wake.notify_all();
-            exporter.join().expect("exporter exits cleanly");
+        let mut frame = self.metrics.frame();
+        let residency = self.pool.idle_residency();
+        frame
+            .gauges
+            .push(("devices_idle".to_owned(), residency.len() as f64));
+        frame.gauges.push((
+            "devices_resident".to_owned(),
+            residency.iter().filter(|(_, m)| m.is_some()).count() as f64,
+        ));
+        for (id, resident) in residency {
+            frame.gauges.push((
+                format!("device{id}_resident"),
+                if resident.is_some() { 1.0 } else { 0.0 },
+            ));
         }
+        frame
     }
 
     /// The runtime's sizing.
@@ -553,9 +495,6 @@ impl Runtime {
             self.metrics
                 .rejected_queue_full
                 .fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .recorder
-                .record(EventKind::QueueFullRejected, matrix_id, 0);
             return Err(RuntimeError::QueueFull);
         }
         state.pending.push(submission);
@@ -589,20 +528,11 @@ impl Runtime {
     /// batch slot — so dead-on-arrival work is never charged any
     /// admission effort.
     fn admit(&self, request: MatmulRequest) -> Result<(Submission, ResponseHandle), RuntimeError> {
-        if let Some(deadline) = request.deadline {
-            let now = Instant::now();
-            if deadline <= now {
-                self.metrics
-                    .rejected_deadline
-                    .fetch_add(1, Ordering::Relaxed);
-                self.metrics.recorder.record(
-                    EventKind::DeadlineExpired,
-                    request.matrix.id(),
-                    now.duration_since(deadline).as_nanos() as u64,
-                );
-                self.metrics.recorder.trip_incident();
-                return Err(RuntimeError::DeadlineExpired);
-            }
+        if request.deadline.is_some_and(|d| d <= Instant::now()) {
+            self.metrics
+                .rejected_deadline
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(RuntimeError::DeadlineExpired);
         }
         if let Err(e) = request.validate() {
             self.metrics
@@ -663,15 +593,13 @@ impl Runtime {
         drop(abandoned);
     }
 
-    /// Stops intake, drains every queued request, and joins all threads
-    /// (the exporter last, so its final frame sees the drained state).
+    /// Stops intake, drains every queued request, and joins all threads.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.drain();
         for worker in self.workers.drain(..) {
             worker.join().expect("worker exits cleanly");
         }
-        self.stop_exporter();
     }
 }
 
@@ -708,7 +636,6 @@ fn worker_loop(
     let mut last: Option<u64> = None;
     let mut state = queue.lock();
     'serve: loop {
-        let idle_from = Instant::now();
         let (group, matrix_id, reordered) = loop {
             if let Some(batch) = next_batch(&mut state, w, last, config, queue, pool, metrics) {
                 drop(state);
@@ -719,20 +646,11 @@ fn worker_loop(
             }
             state = queue.wake.wait(state).expect("queue lock");
         };
-        let stalled = idle_from.elapsed();
-        if stalled >= STALL_EVENT_THRESHOLD {
-            metrics
-                .recorder
-                .record(EventKind::WorkerStall, w as u64, stalled.as_nanos() as u64);
-        }
         let formed_at = Instant::now();
         let group = reject_expired(group, formed_at, metrics);
         if !group.is_empty() {
             if reordered {
                 metrics.admission_reorders.fetch_add(1, Ordering::Relaxed);
-                metrics
-                    .recorder
-                    .record(EventKind::AdmissionReorder, matrix_id, group.len() as u64);
             }
             for sub in &group {
                 metrics.stages.record_ns(
@@ -837,14 +755,6 @@ fn reject_expired(
         .partition(|sub| sub.request.deadline.is_none_or(|d| d > formed_at));
     for sub in dead {
         metrics.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-        metrics.recorder.record(
-            EventKind::DeadlineExpired,
-            sub.request.matrix.id(),
-            formed_at
-                .duration_since(sub.request.deadline.expect("partitioned on deadline"))
-                .as_nanos() as u64,
-        );
-        metrics.recorder.trip_incident();
         if let Some(trace) = &sub.request.trace {
             trace.collector.end(sub.trace_queue);
             trace
@@ -869,16 +779,8 @@ fn process_batch(
     let now = Instant::now();
     let mut live = Vec::with_capacity(group.len());
     for sub in group {
-        if let Some(deadline) = sub.request.deadline.filter(|&d| d <= now) {
+        if sub.request.deadline.is_some_and(|d| d <= now) {
             metrics.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-            metrics.recorder.record(
-                EventKind::DeadlineExpired,
-                sub.request.matrix.id(),
-                now.duration_since(deadline).as_nanos() as u64,
-            );
-            // Latch the incident so the exporter dumps the ring once,
-            // capturing the events that led up to the first miss.
-            metrics.recorder.trip_incident();
             let _ = sub.respond.send(Err(RuntimeError::DeadlineExpired));
         } else {
             live.push(sub);
@@ -929,15 +831,6 @@ fn process_batch(
             metrics
                 .stages
                 .add_energy_j(Stage::Digitize, digitize_energy);
-            metrics.recorder.record(
-                if cost.tiles_written == 0 {
-                    EventKind::ResidencyHit
-                } else {
-                    EventKind::ResidencyMiss
-                },
-                matrix.id(),
-                device_id as u64,
-            );
             let _respond_timer = StageTimer::start(&metrics.stages, Stage::Respond);
             let batched_with = live.len();
             let finished = Instant::now();
@@ -1034,66 +927,6 @@ fn record_service_span(
         let child = c.span_offsets(label, Some(service), edge, edge + width);
         c.add_energy_j(child, energy_j);
         edge += width;
-    }
-}
-
-/// The registry frame plus pool-level gauges: idle device count, how
-/// many idle devices hold a live resident tile, and a 0/1 residency
-/// gauge per idle device.
-fn runtime_frame(metrics: &MetricsRegistry, pool: &DevicePool) -> Frame {
-    let mut frame = metrics.frame();
-    let residency = pool.idle_residency();
-    frame
-        .gauges
-        .push(("devices_idle".to_owned(), residency.len() as f64));
-    frame.gauges.push((
-        "devices_resident".to_owned(),
-        residency.iter().filter(|(_, m)| m.is_some()).count() as f64,
-    ));
-    for (id, resident) in residency {
-        frame.gauges.push((
-            format!("device{id}_resident"),
-            if resident.is_some() { 1.0 } else { 0.0 },
-        ));
-    }
-    frame
-}
-
-/// The periodic exporter: frames every `interval`, the one-shot
-/// incident dump when the flight recorder's latch trips, and a final
-/// frame on shutdown.
-fn exporter_loop(
-    stop: &ExporterStop,
-    interval: Duration,
-    metrics: &MetricsRegistry,
-    pool: &DevicePool,
-    sink: &dyn SnapshotSink,
-) {
-    let mut previous: Option<Frame> = None;
-    let mut incident_dumped = false;
-    loop {
-        let stopped = {
-            let guard = stop.stopped.lock().expect("exporter lock");
-            let (guard, _) = stop
-                .wake
-                .wait_timeout_while(guard, interval, |stopped| !*stopped)
-                .expect("exporter lock");
-            *guard
-        };
-        let frame = runtime_frame(metrics, pool);
-        let delta = match &previous {
-            Some(p) => frame.delta(p),
-            None => frame.clone(),
-        };
-        sink.export(&frame, &delta);
-        previous = Some(frame);
-        if !incident_dumped && metrics.recorder.incident_tripped() {
-            sink.incident(&metrics.recorder.dump());
-            incident_dumped = true;
-        }
-        if stopped {
-            return;
-        }
     }
 }
 
@@ -1323,9 +1156,8 @@ mod tests {
     fn batch_formation_gate_rejects_requests_that_expired_while_queued() {
         // Deterministic unit drive of the second gate: two submissions
         // whose deadlines straddle the formation instant. The expired one
-        // gets its typed error (and the recorder event + incident latch)
-        // without ever occupying a batch slot; the live one passes
-        // through untouched.
+        // gets its typed error without ever occupying a batch slot; the
+        // live one passes through untouched.
         let metrics = MetricsRegistry::default();
         let m = matrix(4, 4);
         let submitted_at = Instant::now();
@@ -1361,12 +1193,6 @@ mod tests {
             "the live request got no response yet"
         );
         assert_eq!(metrics.rejected_deadline.load(Ordering::Relaxed), 1);
-        if pic_obs::enabled() {
-            assert!(metrics.recorder.incident_tripped());
-            let dump = metrics.recorder.dump();
-            assert_eq!(dump.len(), 1);
-            assert_eq!(dump[0].kind, EventKind::DeadlineExpired);
-        }
     }
 
     #[test]
@@ -1378,9 +1204,6 @@ mod tests {
         let req = MatmulRequest::new(m, vec![vec![0.5; 4]]).with_trace(ctx);
         let h = rt.submit(req).expect("accepted");
         let resp = h.wait().expect("completed");
-        if !pic_obs::enabled() {
-            return;
-        }
         let record = collector.finish(collector.offset_ns(Instant::now()));
         let labels: Vec<&str> = record.spans.iter().map(|s| s.label).collect();
         for expected in ["queue", "service", "write", "compute", "digitize"] {
@@ -1473,9 +1296,6 @@ mod tests {
                 .collect()
         });
         assert!(!collectors.is_empty(), "some requests were accepted");
-        if !pic_obs::enabled() {
-            return;
-        }
         for collector in collectors {
             let record = collector.finish(collector.offset_ns(Instant::now()));
             let queue = record

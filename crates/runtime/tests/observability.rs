@@ -1,16 +1,11 @@
-//! End-to-end observability: stage attribution, energy reconciliation,
-//! the periodic exporter, and the flight recorder against a live
-//! runtime.
-//!
-//! Every test also compiles (and trivially passes) under `obs-off`,
-//! proving the no-op instrumentation path serves identically.
+//! End-to-end observability: stage attribution, energy reconciliation
+//! and the exposition frame against a live runtime.
 
-use pic_obs::{EventKind, MemorySink, Stage};
+use pic_obs::{Frame, Stage};
 use pic_runtime::{MatmulRequest, Runtime, RuntimeConfig, TileShape, TiledMatrix};
 use pic_tensor::TensorCoreConfig;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn runtime(devices: usize) -> Runtime {
     let mut config = RuntimeConfig::paper();
@@ -47,9 +42,6 @@ fn stages_cover_the_request_lifecycle() {
     // Join every thread first: a worker records its Respond span just
     // after the last response lands, so reading earlier would race.
     rt.shutdown();
-    if !pic_obs::enabled() {
-        return;
-    }
     let stages = &rt.metrics().stages;
     // Every served request passes submit and queue once.
     assert_eq!(stages.hist(Stage::Submit).count(), 30);
@@ -84,9 +76,6 @@ fn stage_energy_reconciles_with_the_totals() {
     let metrics = rt.metrics();
     let (energy_j, write_energy_j) = (metrics.energy_j.get(), metrics.write_energy_j.get());
     assert!(energy_j > 0.0);
-    if !pic_obs::enabled() {
-        return;
-    }
     // Write-stage energy is the write total exactly; compute + digitize
     // recompose the compute share; the three together recompose
     // `energy_j`. Tolerances cover f64 accumulation-order differences.
@@ -111,42 +100,29 @@ fn stage_energy_reconciles_with_the_totals() {
 }
 
 #[test]
-fn exporter_delivers_frames_and_deltas() {
+fn final_frame_reports_the_drained_state_and_deltas() {
     let mut rt = runtime(1);
-    let sink = Arc::new(MemorySink::new());
-    rt.spawn_exporter(Duration::from_millis(5), Arc::clone(&sink) as _);
     let m = matrix(4, 4, 1);
-    serve(&rt, &m, 20);
-    // Wait for at least one post-traffic export.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        if let Some((frame, _)) = sink.latest() {
-            let completed = frame
-                .counters
-                .iter()
-                .find(|(n, _)| *n == "requests_completed")
-                .map(|&(_, v)| v);
-            if completed == Some(20) {
-                break;
-            }
-        }
-        assert!(Instant::now() < deadline, "exporter never saw the traffic");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    serve(&rt, &m, 10);
+    let mid = rt.frame();
+    serve(&rt, &m, 10);
     rt.shutdown();
-    // The final frame (emitted on shutdown) reports the drained state:
-    // cumulative totals intact, queues empty, and the delta consistent.
-    let (frame, delta) = sink.latest().expect("final frame");
-    let counter = |f: &pic_obs::Frame, n: &str| {
+    // The frame after shutdown reports the drained state: cumulative
+    // totals intact, queues empty, and the delta against the mid-run
+    // frame covering exactly the second half of the traffic.
+    let frame = rt.frame();
+    let delta = frame.delta(&mid);
+    let counter = |f: &Frame, n: &str| {
         f.counters
             .iter()
             .find(|(name, _)| *name == n)
             .map(|&(_, v)| v)
             .unwrap_or(0)
     };
+    assert_eq!(counter(&mid, "requests_completed"), 10);
     assert_eq!(counter(&frame, "requests_completed"), 20);
-    assert!(counter(&delta, "requests_completed") <= 20);
-    let gauge = |f: &pic_obs::Frame, n: &str| {
+    assert_eq!(counter(&delta, "requests_completed"), 10);
+    let gauge = |f: &Frame, n: &str| {
         f.gauges
             .iter()
             .find(|(name, _)| name == n)
@@ -155,9 +131,7 @@ fn exporter_delivers_frames_and_deltas() {
     };
     assert_eq!(gauge(&frame, "pending_depth"), 0.0);
     assert_eq!(gauge(&frame, "devices_idle"), 1.0);
-    if pic_obs::enabled() {
-        assert_eq!(gauge(&frame, "devices_resident"), 1.0);
-    }
+    assert_eq!(gauge(&frame, "devices_resident"), 1.0);
     // Both renderers accept a live runtime frame.
     assert!(frame
         .to_prometheus("pic")
@@ -166,55 +140,28 @@ fn exporter_delivers_frames_and_deltas() {
 }
 
 #[test]
-fn first_deadline_miss_dumps_the_flight_recorder() {
-    let mut rt = runtime(1);
-    let sink = Arc::new(MemorySink::new());
-    rt.spawn_exporter(Duration::from_millis(5), Arc::clone(&sink) as _);
-    let m = matrix(4, 4, 2);
-    serve(&rt, &m, 5);
-    let expired = MatmulRequest::new(Arc::clone(&m), vec![vec![0.5; 4]])
-        .with_deadline(Instant::now() - Duration::from_millis(1));
-    // Dead on arrival rejects synchronously at submit — and still trips
-    // the incident latch so the exporter dumps the ring.
-    assert!(rt.submit(expired).is_err(), "expired deadline rejects");
+fn a_large_batch_records_its_kernel_stages_on_the_worker() {
+    // One 128-sample request on one paper-core tile: 128 × 16 × 16 MACs
+    // in a single kernel pass, which runs on the worker thread and so
+    // records into the worker's span collector.
+    let mut config = RuntimeConfig::paper();
+    config.devices = 1;
+    let mut rt = Runtime::start(config);
+    let codes: Vec<Vec<u32>> = (0..16)
+        .map(|r| (0..16).map(|c| ((r + 3 * c) % 8) as u32).collect())
+        .collect();
+    let m = Arc::new(TiledMatrix::from_codes(&codes, 3, TileShape::new(16, 16)));
+    let inputs: Vec<Vec<f64>> = (0..128)
+        .map(|s| (0..16).map(|c| ((s + c) % 16) as f64 / 15.0).collect())
+        .collect();
+    rt.submit(MatmulRequest::new(m, inputs))
+        .expect("accepted")
+        .wait()
+        .expect("served");
     rt.shutdown();
-    if !pic_obs::enabled() {
-        return;
-    }
-    let events = sink.incidents();
-    assert!(
-        events.iter().any(|e| e.kind == EventKind::DeadlineExpired),
-        "incident dump must contain the deadline miss: {events:?}"
-    );
-    // The ring captured the lead-up: the residency traffic before the
-    // miss is in the same dump.
-    assert!(events
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::ResidencyHit | EventKind::ResidencyMiss)));
-}
-
-#[test]
-fn flight_recorder_sees_residency_and_stall_traffic() {
-    let mut rt = runtime(1);
-    let m = matrix(4, 4, 3);
-    serve(&rt, &m, 10);
-    rt.shutdown();
-    if !pic_obs::enabled() {
-        return;
-    }
-    let events = rt.metrics().recorder.dump();
-    assert!(
-        events.iter().any(|e| e.kind == EventKind::ResidencyMiss),
-        "cold start must log a miss"
-    );
-    assert!(
-        events.iter().any(|e| e.kind == EventKind::ResidencyHit),
-        "repeat traffic must log hits"
-    );
-    assert!(events.iter().all(|e| match e.kind {
-        EventKind::ResidencyHit | EventKind::ResidencyMiss => e.a == m.id(),
-        _ => true,
-    }));
+    let stages = &rt.metrics().stages;
+    assert_eq!(stages.hist(Stage::Compute).count(), 1, "one compute pass");
+    assert_eq!(stages.hist(Stage::Digitize).count(), 1, "one digitise pass");
 }
 
 #[test]

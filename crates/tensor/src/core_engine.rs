@@ -407,11 +407,10 @@ thread_local! {
 /// [`TensorCore::matvec`], [`TensorCore::matvec_noisy`],
 /// [`TensorCore::matmul`]) are dense multiplies plus table look-ups
 /// rather than per-call optical walks; the walk itself stays available
-/// as [`TensorCore::matvec_analog_uncached`]. Batched products fan out
-/// to worker threads once the batch carries enough work (see
-/// [`TensorCore::set_parallel`]) — outputs are bit-identical either way,
-/// including the seeded noisy path. [`TensorCore::matmul_into`] is the
-/// allocation-free entry point: it reads a [`FlatView`] and writes a
+/// as [`TensorCore::matvec_analog_uncached`]. Batched products run on
+/// the calling thread, so a batch's kernel time lands in that thread's
+/// span collector. [`TensorCore::matmul_into`] is the allocation-free
+/// entry point: it reads a [`FlatView`] and writes a
 /// reusable [`FlatCodes`], so a steady-state caller allocates nothing
 /// per call.
 #[derive(Debug, Clone)]
@@ -423,7 +422,6 @@ pub struct TensorCore {
     lut: DigitizeLut,
     readout_gain: f64,
     cache: WeightCache,
-    parallel: bool,
 }
 
 impl TensorCore {
@@ -467,7 +465,6 @@ impl TensorCore {
             readout_gain: 1.0,
             config,
             cache,
-            parallel: true,
         };
         core.rebuild_cache();
         core
@@ -535,43 +532,6 @@ impl TensorCore {
             );
         }
         unreachable!("branchless range count disagreed with the rescan");
-    }
-
-    /// Whether heavy loops may fan out to worker threads.
-    #[must_use]
-    pub fn parallel(&self) -> bool {
-        self.parallel
-    }
-
-    /// Enables or disables parallel evaluation of batched products.
-    /// Small batches always run serially (thread spawn would cost more
-    /// than the work); large ones are chunked over
-    /// `available_parallelism` threads. Results are bit-identical either
-    /// way (same per-row arithmetic, deterministic per-row seeds in the
-    /// noisy path); this only trades threads for throughput. Weight
-    /// writes and their cache rebuilds always run serially.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
-
-    /// Number of worker threads a batched kernel should fan out to for
-    /// `samples` inputs: 1 (serial) unless parallelism is on, the batch
-    /// carries enough multiply-accumulate work to amortise thread spawn,
-    /// and the machine has spare cores.
-    fn batch_workers(&self, samples: usize) -> usize {
-        /// Minimum `samples × rows × cols` MACs before threads pay off.
-        const PAR_WORK_THRESHOLD: usize = 1 << 15;
-        if !self.parallel
-            || samples < 2
-            || samples * self.config.rows * self.config.cols < PAR_WORK_THRESHOLD
-        {
-            return 1;
-        }
-        static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let cpus = *CPUS.get_or_init(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-        cpus.min(samples)
     }
 
     /// Sets the read-out gain: the TIA transimpedance scaling between the
@@ -838,21 +798,15 @@ impl TensorCore {
         }
     }
 
-    /// The fused batched kernel over `count` samples starting at `first`
-    /// of `inputs`: per block, one streaming pass validates and
-    /// transposes, the register-blocked analog phase runs, and the
-    /// clamped row outputs convert through the branchless read-out
-    /// table. `out` is the `count × rows` destination (fully
-    /// overwritten). Bit-identical to [`TensorCore::matvec`] per sample.
-    fn matmul_span(
-        &self,
-        cache: &WeightCache,
-        inputs: FlatView<'_>,
-        first: usize,
-        count: usize,
-        out: &mut [u16],
-    ) {
+    /// The fused batched kernel over every sample of `inputs`: per
+    /// block, one streaming pass validates and transposes, the
+    /// register-blocked analog phase runs, and the clamped row outputs
+    /// convert through the branchless read-out table. `out` is the
+    /// `samples × rows` destination (fully overwritten). Bit-identical
+    /// to [`TensorCore::matvec`] per sample.
+    fn matmul_span(&self, cache: &WeightCache, inputs: FlatView<'_>, out: &mut [u16]) {
         let rows = cache.row_count();
+        let count = inputs.samples();
         debug_assert_eq!(out.len(), count * rows);
         BLOCK.with(|scratch| {
             let (xt, ys) = &mut *scratch.borrow_mut();
@@ -861,7 +815,7 @@ impl TensorCore {
             let mut s = 0;
             while s < count {
                 let n = (count - s).min(SAMPLE_BLOCK);
-                self.load_block(inputs, first + s, n, xt);
+                self.load_block(inputs, s, n, xt);
                 Self::analog_block(cache, xt, ys);
                 for (r, yrow) in ys.chunks_exact(SAMPLE_BLOCK).enumerate() {
                     let mut scaled = [0.0f64; SAMPLE_BLOCK];
@@ -1031,9 +985,8 @@ impl TensorCore {
     /// `s` of `out` is the digital matvec of row `s` of `inputs`. This is
     /// the zero-allocation kernel the serving runtime drives — `out` is
     /// reset (keeping its arena) and fully overwritten, so a steady-state
-    /// caller that reuses its buffers allocates nothing per call. Large
-    /// batches are chunked across worker threads; outputs are
-    /// bit-identical to [`TensorCore::matvec`] per sample either way.
+    /// caller that reuses its buffers allocates nothing per call. Outputs
+    /// are bit-identical to [`TensorCore::matvec`] per sample.
     ///
     /// # Panics
     ///
@@ -1041,34 +994,17 @@ impl TensorCore {
     pub fn matmul_into(&self, inputs: FlatView<'_>, out: &mut FlatCodes) {
         assert_eq!(inputs.width(), self.config.cols, "one input per column");
         let cache = self.cache();
-        let rows = self.config.rows;
-        let samples = inputs.samples();
         // Validation rides inside the blocked kernel's transpose pass
         // (see `load_block`), so the batch is walked once — and the
         // output is fully overwritten, so the reset skips zero-filling.
-        out.reset_for_overwrite(samples, rows);
-        let workers = self.batch_workers(samples);
-        if workers <= 1 {
-            // With an ambient span collector on this thread, run the
-            // two-phase traced kernel so analog compute and digitisation
-            // attribute separately (bit-identical results). Serving
-            // batches sit below the parallel threshold, so they always
-            // take this branch; the scoped threads of the parallel path
-            // have no collector and stay on the fused kernel.
-            if pic_obs::collector_installed() {
-                self.matmul_into_traced(cache, inputs, out);
-                return;
-            }
-            self.matmul_span(cache, inputs, 0, samples, out.as_mut_slice());
+        out.reset_for_overwrite(inputs.samples(), self.config.rows);
+        // With an ambient span collector on this thread, run the two-phase
+        // traced kernel so analog compute and digitisation attribute
+        // separately (bit-identical results).
+        if pic_obs::collector_installed() {
+            self.matmul_into_traced(cache, inputs, out);
         } else {
-            let per = samples.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (w, chunk) in out.as_mut_slice().chunks_mut(per * rows).enumerate() {
-                    scope.spawn(move || {
-                        self.matmul_span(cache, inputs, w * per, chunk.len() / rows, chunk);
-                    });
-                }
-            });
+            self.matmul_span(cache, inputs, out.as_mut_slice());
         }
     }
 
@@ -1081,26 +1017,9 @@ impl TensorCore {
         let cache = self.cache();
         let rows = self.config.rows;
         let mut out: Vec<Vec<u16>> = inputs.iter().map(|_| vec![0u16; rows]).collect();
-        let workers = self.batch_workers(inputs.len());
-        if workers <= 1 {
-            for (x, codes) in inputs.iter().zip(&mut out) {
-                self.check_input(x);
-                self.sample_codes_into(cache, x, codes);
-            }
-        } else {
-            for x in inputs {
-                self.check_input(x);
-            }
-            let per = inputs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (xs, codes) in inputs.chunks(per).zip(out.chunks_mut(per)) {
-                    scope.spawn(move || {
-                        for (x, row) in xs.iter().zip(codes) {
-                            self.sample_codes_into(cache, x, row);
-                        }
-                    });
-                }
-            });
+        for (x, codes) in inputs.iter().zip(&mut out) {
+            self.check_input(x);
+            self.sample_codes_into(cache, x, codes);
         }
         out
     }
@@ -1136,10 +1055,8 @@ impl TensorCore {
     }
 
     /// Batch noisy matrix multiplication: one [`TensorCore::matvec_noisy`]
-    /// per input. Per-sample seeds are drawn sequentially from `rng` up
-    /// front, so the result matches a serial loop of `matvec_noisy` calls
-    /// seeded the same way, regardless of how the batch is chunked over
-    /// threads.
+    /// per input. Each sample's seed is drawn sequentially from `rng`, so
+    /// the result is a pure function of the caller's RNG state.
     #[must_use]
     pub fn matmul_noisy<R: rand::Rng + ?Sized>(
         &self,
@@ -1147,41 +1064,18 @@ impl TensorCore {
         noise: &pic_photonics::NoiseModel,
         rng: &mut R,
     ) -> Vec<Vec<u16>> {
-        let seeds: Vec<u64> = inputs.iter().map(|_| rng.next_u64()).collect();
         let cache = self.cache();
         let rows = self.config.rows;
-        let sample = |x: &Vec<f64>, seed: u64, codes: &mut [u16]| {
+        let mut out: Vec<Vec<u16>> = inputs.iter().map(|_| vec![0u16; rows]).collect();
+        for (x, codes) in inputs.iter().zip(&mut out) {
             self.check_input(x);
-            let mut sample_rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut sample_rng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
             for (r, code) in codes.iter_mut().enumerate() {
                 let mut row_rng = rand::rngs::StdRng::seed_from_u64(sample_rng.next_u64());
                 let i = noise.sample(Current::from_amps(cache.mean_amps(r, x)), &mut row_rng);
                 let y = (i.as_amps() / cache.full_scale_amps[r]).clamp(0.0, 1.0);
                 *code = self.digitize_row(y);
             }
-        };
-        let mut out: Vec<Vec<u16>> = inputs.iter().map(|_| vec![0u16; rows]).collect();
-        let workers = self.batch_workers(inputs.len());
-        if workers <= 1 {
-            for ((x, &seed), codes) in inputs.iter().zip(&seeds).zip(&mut out) {
-                sample(x, seed, codes);
-            }
-        } else {
-            let per = inputs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for ((xs, ss), cs) in inputs
-                    .chunks(per)
-                    .zip(seeds.chunks(per))
-                    .zip(out.chunks_mut(per))
-                {
-                    let sample = &sample;
-                    scope.spawn(move || {
-                        for ((x, &seed), codes) in xs.iter().zip(ss).zip(cs) {
-                            sample(x, seed, codes);
-                        }
-                    });
-                }
-            });
         }
         out
     }
@@ -1549,37 +1443,6 @@ mod tests {
     fn matvec_analog_rejects_nan_input() {
         let core = demo_core();
         let _ = core.matvec_analog(&[0.5, f64::NAN, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree_bitwise() {
-        use rand::SeedableRng;
-        let mut par = demo_core();
-        par.set_parallel(true);
-        let mut seq = par.clone();
-        seq.set_parallel(false);
-        assert!(par.parallel() && !seq.parallel());
-
-        let x = [0.9, 0.1, 0.5, 0.7];
-        assert_eq!(par.matvec_analog(&x), seq.matvec_analog(&x));
-        assert_eq!(par.matvec(&x), seq.matvec(&x));
-
-        let batch: Vec<Vec<f64>> = (0..6)
-            .map(|i| (0..4).map(|c| ((i * 4 + c) % 11) as f64 / 10.0).collect())
-            .collect();
-        assert_eq!(par.matmul(&batch), seq.matmul(&batch));
-
-        let noise = pic_photonics::NoiseModel::paper_receiver();
-        let mut rng_a = rand::rngs::StdRng::seed_from_u64(17);
-        let mut rng_b = rand::rngs::StdRng::seed_from_u64(17);
-        assert_eq!(
-            par.matvec_noisy(&x, &noise, &mut rng_a),
-            seq.matvec_noisy(&x, &noise, &mut rng_b)
-        );
-        assert_eq!(
-            par.matmul_noisy(&batch, &noise, &mut rng_a),
-            seq.matmul_noisy(&batch, &noise, &mut rng_b)
-        );
     }
 
     #[test]

@@ -140,39 +140,6 @@ fn weight_cache_invalidates_on_every_mutation_path() {
 }
 
 #[test]
-fn parallel_engine_is_bit_identical_to_sequential() {
-    let mut par = loaded_core();
-    par.set_parallel(true);
-    let mut seq = loaded_core();
-    seq.set_parallel(false);
-
-    let batch: Vec<Vec<f64>> = (0..8)
-        .map(|i| (0..4).map(|c| ((3 * i + c) % 10) as f64 / 9.0).collect())
-        .collect();
-    for x in &batch {
-        assert_eq!(par.matvec_analog(x), seq.matvec_analog(x));
-        assert_eq!(par.matvec(x), seq.matvec(x));
-    }
-    assert_eq!(par.matmul(&batch), seq.matmul(&batch));
-
-    // The seeded noisy path must also be order-independent: per-row and
-    // per-sample seeds are drawn up front from the caller's RNG.
-    let noise = NoiseModel::paper_receiver();
-    let mut rng_par = StdRng::seed_from_u64(2024);
-    let mut rng_seq = StdRng::seed_from_u64(2024);
-    for x in &batch {
-        assert_eq!(
-            par.matvec_noisy(x, &noise, &mut rng_par),
-            seq.matvec_noisy(x, &noise, &mut rng_seq)
-        );
-    }
-    assert_eq!(
-        par.matmul_noisy(&batch, &noise, &mut rng_par),
-        seq.matmul_noisy(&batch, &noise, &mut rng_seq)
-    );
-}
-
-#[test]
 fn prbs_generator_is_deterministic_across_calls() {
     use photonic_tensor_core::signal::generate::prbs;
     use photonic_tensor_core::units::Seconds;
